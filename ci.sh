@@ -34,7 +34,7 @@
 #                         cell to a direct run), plus the sweep_server
 #                         binary driven over a real socket
 #   ./ci.sh perf          bench smoke: bench_e2e --smoke gated against the
-#                         committed BENCH_PR10.json + codec kernel smoke
+#                         committed BENCH_PR12.json + codec kernel smoke
 #   ./ci.sh quick         fast local pre-commit check (lint + release tests)
 #
 # Every stage prints its wall time on completion (run_stage), so a slow CI
@@ -188,20 +188,21 @@ PYEOF
 }
 
 perf() {
-    echo "==> perf smoke: end-to-end blocks/s vs committed BENCH_PR10.json"
+    echo "==> perf smoke: end-to-end blocks/s vs committed BENCH_PR12.json"
     # Fails when any workload's blocks/s regresses > 25 % against the
     # committed trajectory baseline (median-calibrated: uniform machine
     # speed cancels), and hard-fails on workload/backend/layout/design
     # set drift; the JSON is uploaded as a CI artifact. The baseline is
-    # BENCH_PR10.json — first trajectory with the per-design section
-    # (the full `DesignKind::ALL` set including the memoization family)
-    # alongside the ten-workload suite, the per-backend and per-layout
-    # sections and the sweep-server loopback record, so the smoke gate
-    # exercises every design's engine path on every run; on a multi-core
+    # BENCH_PR12.json — the trajectory recorded after the dedup LLC's
+    # O(1) rewrite, with the per-design section (the full
+    # `DesignKind::ALL` set including the memoization family) alongside
+    # the ten-workload suite, the per-backend and per-layout sections and
+    # the sweep-server loopback record, so the smoke gate exercises every
+    # design's engine path on every run; on a multi-core
     # runner the gate also fails if the pooled Table 4 sweep is slower
     # than single-thread (the ROADMAP re-gate rule applies).
     cargo run --release -p avr-bench --bin bench_e2e -- \
-        --smoke --check BENCH_PR10.json --out bench-e2e-smoke.json
+        --smoke --check BENCH_PR12.json --out bench-e2e-smoke.json
 
     echo "==> codec kernel smoke (reference vs fused, shrunk measurement)"
     AVR_BENCH_FAST=1 cargo run --release -p avr-bench --bin bench_codec -- /tmp/bench_smoke.json

@@ -1,4 +1,4 @@
-//! Ablation study of the AVR design choices DESIGN.md calls out: lazy
+//! Ablation study of the AVR design choices the paper calls out: lazy
 //! evictions (§3.1), the DBUF (§3.3), the compression-failure backoff
 //! (§3.2), and storing compressed blocks in the LLC (§3.4). Each knob is
 //! disabled in isolation and the damage measured on two contrasting

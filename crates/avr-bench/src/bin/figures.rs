@@ -5,7 +5,7 @@
 //! AVR_SCALE=bench cargo run -p avr-bench --release --bin figures
 //! ```
 //!
-//! The output of the `bench` scale is what EXPERIMENTS.md records.
+//! The `bench` scale is the evaluation scale; `tiny` is the smoke scale.
 
 use avr_bench::{
     fig09, fig10, fig11, fig12, fig13, fig14, fig15, scale_from_env, scale_label, table3, table4,

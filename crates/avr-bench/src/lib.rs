@@ -5,7 +5,7 @@
 //! Scales:
 //! * `tiny`  — smoke scale, the default for `cargo bench` (so the whole
 //!   workspace bench suite stays minutes, not hours);
-//! * `bench` — the EXPERIMENTS.md scale with paper-like footprint:LLC
+//! * `bench` — the evaluation scale with paper-like footprint:LLC
 //!   ratios; select with `AVR_SCALE=bench`.
 
 use avr_core::{DesignKind, SimPool, SystemConfig};
@@ -43,7 +43,8 @@ pub fn scale_label(scale: BenchScale) -> &'static str {
 }
 
 /// The system configuration used for figure regeneration: one core with
-/// its per-core share of the paper's hierarchy (DESIGN.md §3). The tiny
+/// its per-core share of the paper's hierarchy (`avr_core::multicore`
+/// describes the partitioned-share model). The tiny
 /// smoke scale pairs with the proportionally tiny hierarchy so that
 /// footprints still exceed the LLC and the AVR machinery activates.
 pub fn figure_config_for(scale: BenchScale) -> SystemConfig {

@@ -42,7 +42,7 @@ impl CmtEntry {
 
     /// Should the next compression attempt be skipped? The paper keeps a
     /// failure count and skips "a number of recompression attempts"
-    /// accordingly; our policy (documented in DESIGN.md) skips
+    /// accordingly; our policy skips
     /// `min(n_failed, 3)` attempts after `n_failed` consecutive failures.
     pub fn should_skip(&self) -> bool {
         self.n_skipped < self.n_failed.min(3)

@@ -13,10 +13,10 @@
 //! the compressed image in the LLC, the DBUF, or fetch from memory — observe
 //! exactly what the hardware would decode. Overlaying lazily evicted lines
 //! and dirty UCLs during recompaction needs no special handling: their
-//! values are already current in the store. The one simplification (noted
-//! in DESIGN.md): a recompression folds in the values of *all* lines of the
-//! block, including ones whose UCLs are still dirty upstream, which is a
-//! latest-value resolution of an ordering the paper leaves unspecified.
+//! values are already current in the store. The one simplification: a
+//! recompression folds in the values of *all* lines of the block, including
+//! ones whose UCLs are still dirty upstream, which is a latest-value
+//! resolution of an ordering the paper leaves unspecified.
 
 use avr_cache::cmt::{CmtCache, CmtTable, CMT_MISS_BYTES};
 use avr_cache::dbuf::Dbuf;

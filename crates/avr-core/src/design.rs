@@ -261,6 +261,28 @@ impl DedupPolicy {
     pub(crate) fn new(cfg: &SystemConfig) -> Self {
         DedupPolicy { llc: avr_baselines::doppelganger::DoppelLlc::new(cfg.llc) }
     }
+
+    /// The dedup LLC (tests/diagnostics: hit, dedup and eviction counts).
+    pub fn llc(&self) -> &avr_baselines::doppelganger::DoppelLlc {
+        &self.llc
+    }
+
+    /// Insert `line` with its current backing-store values, feed a dedup
+    /// mapping back into the store (destructive dedup: readers observe the
+    /// representative from now on), and write back the dirty lines the
+    /// insert evicted, in the order the LLC reports them.
+    fn fill(&mut self, sys: &mut System, line: LineAddr, approx: bool, dirty: bool, now: u64) {
+        let values = sys.mem.read_line(line);
+        let out = self.llc.insert(line, &values, approx, dirty);
+        if let Some(rep) = out.mapped_to {
+            sys.mem.write_line(line, &rep);
+        }
+        for &(l, dirty) in out.evicted {
+            if dirty {
+                sys.dram_write_line(l, now);
+            }
+        }
+    }
 }
 
 impl DesignPolicy for DedupPolicy {
@@ -290,36 +312,16 @@ impl DesignPolicy for DedupPolicy {
         // Corrupt before the dedup insert so the map ingests what the
         // device actually delivered.
         sys.device_line_faults(line, AccessKind::Read, resp.complete_at);
-        let values = sys.mem.read_line(line);
-        let out = self.llc.insert(line, &values, approx.is_some(), false);
-        if let Some(rep) = out.mapped_to {
-            sys.mem.write_line(line, &rep);
-        }
-        for (l, dirty) in out.evicted {
-            if dirty {
-                sys.dram_write_line(l, resp.complete_at);
-            }
-        }
+        self.fill(sys, line, approx.is_some(), false, resp.complete_at);
         resp.complete_at
     }
 
     fn writeback(&mut self, sys: &mut System, line: LineAddr, now: u64) {
-        let approx = sys.approx_of(line).is_some();
         if self.llc.contains(line) {
             self.llc.access(line, true);
         } else {
-            let values = sys.mem.read_line(line);
-            let out = self.llc.insert(line, &values, approx, true);
-            if let Some(rep) = out.mapped_to {
-                // Destructive dedup: readers observe the representative
-                // from now on.
-                sys.mem.write_line(line, &rep);
-            }
-            for (l, dirty) in out.evicted {
-                if dirty {
-                    sys.dram_write_line(l, now);
-                }
-            }
+            let approx = sys.approx_of(line).is_some();
+            self.fill(sys, line, approx, true, now);
         }
     }
 

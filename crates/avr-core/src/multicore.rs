@@ -7,7 +7,7 @@
 //! encodes the shares), and shards execute concurrently on OS threads via
 //! `std::thread::scope`. Inter-core interference beyond the static shares
 //! (set conflicts in a truly shared LLC, bank conflicts between cores) is
-//! not modelled; DESIGN.md §3 records the simplification.
+//! not modelled.
 //!
 //! The aggregate metrics follow the paper's conventions: cycles are the
 //! *slowest* core's (makespan), traffic and energy sum across cores.

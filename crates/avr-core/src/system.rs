@@ -1,11 +1,12 @@
 //! The full-system simulator: core → L1 → L2 → LLC(design) → DDR4.
 //!
 //! One `System` simulates one core (the figure benches run one SPMD shard
-//! against a per-core-scaled hierarchy; see DESIGN.md §3). Data values live
-//! in the backing store ([`avr_sim::PhysMem`]); the caches track presence,
-//! and every lossy event (AVR compression, fp16 truncation, Doppelgänger
-//! dedup) rewrites the backing store at the architecturally correct moment
-//! so approximation error feeds back into the running application.
+//! against a per-core-scaled hierarchy; see [`crate::multicore`]). Data
+//! values live in the backing store ([`avr_sim::PhysMem`]); the caches track
+//! presence, and every lossy event (AVR compression, fp16 truncation,
+//! Doppelgänger dedup) rewrites the backing store at the architecturally
+//! correct moment so approximation error feeds back into the running
+//! application.
 
 use avr_cache::set_assoc::SetAssocCache;
 use avr_dram::{backend_for, AccessKind, DramBackend, FaultCtx};

@@ -429,7 +429,7 @@ impl SystemConfig {
     /// One core with its per-core share of the shared LLC (8 MB / 8 cores),
     /// preserving the footprint:capacity ratios that drive the paper's
     /// results while keeping simulations laptop-fast. Used by the figure
-    /// benches; see DESIGN.md §3.
+    /// benches; `avr_core::multicore` describes the partitioned-share model.
     #[allow(clippy::field_reassign_with_default)] // builder-style tweaks read clearer
     pub fn per_core_scaled() -> Self {
         let mut c = Self::default();

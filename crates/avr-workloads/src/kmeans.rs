@@ -1,7 +1,7 @@
 //! `kmeans` — 1-D k-means clustering applied to a geographic elevation map
 //! (the paper uses a Swedish topological survey tile; we use fractal
-//! terrain with matching statistics, DESIGN.md §4). Approximable data: the
-//! elevation samples ("Topol."); output: the cluster centroids.
+//! terrain with matching statistics, see [`crate::terrain`]). Approximable
+//! data: the elevation samples ("Topol."); output: the cluster centroids.
 //!
 //! This is the one benchmark whose *work* depends on data quality: the
 //! iteration count until convergence can grow when the input is

@@ -21,7 +21,7 @@
 //!
 //! Each workload annotates the data structures the paper lists as
 //! approximable, tuned so the approximable fraction of the footprint
-//! matches Table 4's back-computed fractions (see DESIGN.md §4). Every
+//! matches Table 4's back-computed fractions. Every
 //! workload declares its record schema through [`avr_core::RecordSchema`]
 //! and runs in any [`avr_core::LayoutKind`] it lists in
 //! [`runner::Workload::layouts`] — same math, different placement.

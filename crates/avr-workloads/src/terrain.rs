@@ -3,7 +3,7 @@
 //! Two of the paper's inputs are external artifacts we cannot ship: the car
 //! silhouette used as the lattice obstacle and the Swedish topological
 //! survey used as the k-means input. Both are replaced by procedural
-//! equivalents with the same role (DESIGN.md §4): a rasterized car-shaped
+//! equivalents with the same role: a rasterized car-shaped
 //! mask and a midpoint-displacement fractal elevation profile with
 //! realistic spatial correlation.
 

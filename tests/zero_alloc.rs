@@ -251,6 +251,51 @@ fn steady_state_hot_paths_do_not_allocate() {
     }
 
     // ------------------------------------------------------------------
+    // Doppelganger: tags and data entries live in slabs reserved at
+    // construction and the eviction buffer is reused, so repeated dedup
+    // traffic — dedups, tag-array and data-array evictions, their dirty
+    // writebacks — performs zero steady-state allocations.
+    // ------------------------------------------------------------------
+    let mut dsys = AvrSystem::new(SystemConfig::tiny(), DesignKind::Doppelganger);
+    // 8192 lines over 64 value patterns: they dedup, and overflow the
+    // 4096-tag array. 2048 lines of scrambled values: distinct
+    // signatures that overflow the 1024-entry data array.
+    let shared = dsys.approx_malloc(512 << 10, DataType::F32);
+    let distinct = dsys.approx_malloc(128 << 10, DataType::F32);
+    let dedup_pass = |dsys: &mut AvrSystem| {
+        for i in 0..(512 << 10) / 4_u64 {
+            let pattern = (i / 16) % 64;
+            dsys.write_f32(PhysAddr(shared.base.0 + 4 * i), (10 * pattern + i % 16) as f32);
+        }
+        for i in 0..(128 << 10) / 4_u64 {
+            let z = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let v = ((z ^ (z >> 29)).wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 54) as f32;
+            dsys.write_f32(PhysAddr(distinct.base.0 + 4 * i), v);
+        }
+        for i in (0..(512 << 10) / 4_u64).step_by(16) {
+            dsys.read_f32(PhysAddr(shared.base.0 + 4 * i));
+        }
+    };
+    let dedup_llc = |dsys: &AvrSystem| {
+        let llc = dsys.policy_as::<avr::arch::design::DedupPolicy>().expect("dedup policy").llc();
+        (llc.dedup_count, llc.tag_evictions, llc.entry_evictions)
+    };
+    dedup_pass(&mut dsys); // warm-up: backing pages, slabs, index tables
+    dedup_pass(&mut dsys);
+    let (dedups, tag_evictions, entry_evictions) = dedup_llc(&dsys);
+    let before = allocations();
+    dedup_pass(&mut dsys);
+    let dedup_allocs = allocations() - before;
+    assert_eq!(dedup_allocs, 0, "steady-state dganger traffic allocated {dedup_allocs} times");
+    let after = dedup_llc(&dsys);
+    assert!(
+        after.0 > dedups && after.1 > tag_evictions && after.2 > entry_evictions,
+        "the measured pass must dedup and evict both tags and data entries: \
+         before {:?}, after {after:?}",
+        (dedups, tag_evictions, entry_evictions)
+    );
+
+    // ------------------------------------------------------------------
     // Parallel compression summary: each worker's block-scan loop reuses
     // its own Compressor scratch, so once all workers are warmed the whole
     // pool performs zero allocations while scanning. Barriers carve out a
