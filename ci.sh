@@ -34,7 +34,8 @@
 #                         cell to a direct run), plus the sweep_server
 #                         binary driven over a real socket
 #   ./ci.sh perf          bench smoke: bench_e2e --smoke gated against the
-#                         committed BENCH_PR12.json + codec kernel smoke
+#                         committed BENCH_PR12.json + codec kernel smoke +
+#                         every table/figure and the ablation at tiny scale
 #   ./ci.sh quick         fast local pre-commit check (lint + release tests)
 #
 # Every stage prints its wall time on completion (run_stage), so a slow CI
@@ -206,7 +207,9 @@ perf() {
 
     echo "==> codec kernel smoke (reference vs fused, shrunk measurement)"
     AVR_BENCH_FAST=1 cargo run --release -p avr-bench --bin bench_codec -- /tmp/bench_smoke.json
-    AVR_BENCH_FAST=1 cargo bench --bench codec_kernels -p avr-bench
+
+    echo "==> paper pipeline smoke: every table/figure renderer + the ablation (tiny scale)"
+    cargo run --release -p avr-bench --bin figures
 }
 
 case "${1:-all}" in

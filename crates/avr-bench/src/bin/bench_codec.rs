@@ -1,6 +1,7 @@
 //! Codec throughput comparison: retained reference implementation vs. the
 //! fused hot path, emitted as a machine-readable `BENCH_<tag>.json`
-//! trajectory file so every PR's codec performance is tracked in-repo.
+//! trajectory file (one line of JSON, written through
+//! [`avr_server::Json`]) so every PR's codec performance is tracked in-repo.
 //!
 //! Usage: `bench_codec [output.json]` (default `BENCH_current.json`).
 //! The committed trajectory file for this PR is `BENCH_PR3.json`; CI's
@@ -25,8 +26,8 @@
 use avr_bench::codec_kernels::{noise_block, smooth_block, spiky_block};
 use avr_compress::simd::{self, CodecKernels};
 use avr_compress::{choose_bias, compress_reference, Compressor, Thresholds};
+use avr_server::Json;
 use avr_types::{BlockData, DataType, VALUES_PER_BLOCK};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 struct Measurement {
@@ -237,52 +238,39 @@ fn main() {
     let arm_results = measure_codec_arms(&kernels, fast);
     let kernel_results = measure_simd_kernels(fast);
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"codec_kernels\",");
-    let _ = writeln!(json, "  \"unit\": \"ns_per_block\",");
-    let _ = writeln!(json, "  \"mode\": \"{}\",", if fast { "fast_smoke" } else { "full" });
-    let _ = writeln!(json, "  \"target\": \"host-native (.cargo/config.toml)\",");
-    let _ = writeln!(json, "  \"dispatch_arm\": \"{}\",", dispatch_arm.name());
-    json.push_str("  \"kernels\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{ \"kernel\": \"{}\", \"reference_ns\": {:.1}, \"fused_ns\": {:.1}, \
-             \"speedup\": {:.2}, \"fused_blocks_per_sec\": {:.0} }}{}",
-            m.kernel,
-            m.reference_ns,
-            m.fused_ns,
-            m.speedup(),
-            1e9 / m.fused_ns,
-            if i + 1 < results.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"codec_arms\": [\n");
-    for (i, m) in arm_results.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{ \"kernel\": \"{}\", \"arm\": \"{}\", \"fused_ns\": {:.1} }}{}",
-            m.kernel,
-            m.arm,
-            m.fused_ns,
-            if i + 1 < arm_results.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"simd_kernels\": [\n");
-    for (i, m) in kernel_results.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{ \"kernel\": \"{}\", \"arm\": \"{}\", \"ns_per_value\": {:.3} }}{}",
-            m.kernel,
-            m.arm,
-            m.ns_per_value,
-            if i + 1 < kernel_results.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ]\n}\n");
+    let kernel_rows = results.iter().map(|m| {
+        Json::obj([
+            ("kernel", m.kernel.into()),
+            ("reference_ns", m.reference_ns.into()),
+            ("fused_ns", m.fused_ns.into()),
+            ("speedup", m.speedup().into()),
+            ("fused_blocks_per_sec", (1e9 / m.fused_ns).into()),
+        ])
+    });
+    let arm_rows = arm_results.iter().map(|m| {
+        Json::obj([
+            ("kernel", m.kernel.into()),
+            ("arm", m.arm.into()),
+            ("fused_ns", m.fused_ns.into()),
+        ])
+    });
+    let simd_rows = kernel_results.iter().map(|m| {
+        Json::obj([
+            ("kernel", m.kernel.into()),
+            ("arm", m.arm.into()),
+            ("ns_per_value", m.ns_per_value.into()),
+        ])
+    });
+    let doc = Json::obj([
+        ("bench", "codec_kernels".into()),
+        ("unit", "ns_per_block".into()),
+        ("mode", if fast { "fast_smoke" } else { "full" }.into()),
+        ("target", "host-native (.cargo/config.toml)".into()),
+        ("dispatch_arm", dispatch_arm.name().into()),
+        ("kernels", Json::Arr(kernel_rows.collect())),
+        ("codec_arms", Json::Arr(arm_rows.collect())),
+        ("simd_kernels", Json::Arr(simd_rows.collect())),
+    ]);
 
     println!("dispatch arm: {}", dispatch_arm.name());
     for m in &results {
@@ -300,7 +288,7 @@ fn main() {
     for m in &kernel_results {
         println!("{:<16} [{:<6}] {:>7.3} ns/value", m.kernel, m.arm, m.ns_per_value);
     }
-    std::fs::write(&out_path, &json).expect("write trajectory file");
+    std::fs::write(&out_path, doc.render() + "\n").expect("write trajectory file");
     println!("wrote {out_path}");
 
     // The PR's tracked acceptance bar: >= 2x on the compressible kernels.

@@ -4,6 +4,9 @@
 //! recording **blocks/s per workload** — the whole-simulator throughput the
 //! perf trajectory tracks beyond the codec kernels (ROADMAP).
 //!
+//! The file is one line of JSON, written and read back through
+//! [`avr_server::Json`].
+//!
 //! One "block" is the AVR 1 KB memory-block unit: a workload's block count
 //! is its simulated DRAM traffic in 1 KB units, which is deterministic for
 //! a fixed (workload, design, scale); the wall clock is the only measured
@@ -38,7 +41,8 @@
 //!   to let the gate skip quietly. The device error-model **backend set**
 //!   (see below) is held to the same standard. A baseline entry of
 //!   0 blocks/s fails the gate as a corrupt trajectory file instead of
-//!   being divided by.
+//!   being divided by. The baseline is read before measuring, so an
+//!   unreadable or corrupt one fails at once.
 //!
 //! The Table 4 sweep (the full suite × AVR) is also timed on one
 //! thread vs. the pool so the engine's scaling is part of the record.
@@ -93,13 +97,12 @@
 //! every golden recomputation.
 
 use avr_core::{BackendKind, DesignKind, LayoutKind, SimPool, SystemConfig};
-use avr_server::{Client, SweepServer};
+use avr_server::{Client, Json, SweepServer};
 use avr_types::CellSpec;
 use avr_workloads::{
     all_benchmarks, golden, golden_run, run_grid, run_grid_layouts, run_on_design, BenchScale,
     Workload,
 };
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Regression budget for `--check`: fail when a workload's blocks/s drops
@@ -570,173 +573,285 @@ fn measure_section(
     }
 }
 
-fn render_section(json: &mut String, name: &str, s: &Section, last: bool) {
-    let _ = writeln!(json, "    \"{name}\": {{");
-    let _ = writeln!(json, "      \"scale\": \"{}\",", s.scale_label);
-    json.push_str("      \"workloads\": [\n");
-    for (i, w) in s.workloads.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "        {{ \"workload\": \"{}\", \"design\": \"AVR\", \"sim_blocks\": {}, \
-             \"wall_ms\": {:.1}, \"blocks_per_sec\": {:.0} }}{}",
-            w.workload,
-            w.sim_blocks,
-            w.wall_ms,
-            w.blocks_per_sec(),
-            if i + 1 < s.workloads.len() { "," } else { "" }
-        );
-    }
-    json.push_str("      ],\n");
-    json.push_str("      \"backends\": [\n");
-    for (i, b) in s.backends.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "        {{ \"backend\": \"{}\", \"sim_blocks\": {}, \"wall_ms\": {:.1}, \
-             \"blocks_per_sec\": {:.0}, \"injected_bit_flips\": {}, \"faulted_lines\": {}, \
-             \"retries\": {}, \"degraded_lines\": {}, \"ecc_scrubs\": {} }}{}",
-            b.backend,
-            b.sim_blocks,
-            b.wall_ms,
-            b.blocks_per_sec(),
-            b.injected_bit_flips,
-            b.faulted_lines,
-            b.retries,
-            b.degraded_lines,
-            b.ecc_scrubs,
-            if i + 1 < s.backends.len() { "," } else { "" }
-        );
-    }
-    json.push_str("      ],\n");
-    json.push_str("      \"layouts\": [\n");
-    for (i, l) in s.layouts.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "        {{ \"layout\": \"{}\", \"workloads\": {}, \"sim_blocks\": {}, \
-             \"wall_ms\": {:.1}, \"blocks_per_sec\": {:.0}, \"approx_blocks\": {}, \
-             \"compressible_blocks\": {}, \"compressible_fraction\": {:.4}, \
-             \"mean_output_error\": {:.5} }}{}",
-            l.layout,
-            l.workloads,
-            l.sim_blocks,
-            l.wall_ms,
-            l.blocks_per_sec(),
-            l.approx_blocks,
-            l.compressible_blocks,
-            l.compressible_fraction(),
-            l.mean_output_error(),
-            if i + 1 < s.layouts.len() { "," } else { "" }
-        );
-    }
-    json.push_str("      ],\n");
-    json.push_str("      \"designs\": [\n");
-    for (i, d) in s.designs.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "        {{ \"design\": \"{}\", \"sim_blocks\": {}, \"wall_ms\": {:.1}, \
-             \"blocks_per_sec\": {:.0}, \"memo_hits\": {}, \"memo_served\": {}, \
-             \"memo_elided\": {} }}{}",
-            d.design,
-            d.sim_blocks,
-            d.wall_ms,
-            d.blocks_per_sec(),
-            d.memo_hits,
-            d.memo_served,
-            d.memo_elided,
-            if i + 1 < s.designs.len() { "," } else { "" }
-        );
-    }
-    json.push_str("      ],\n");
-    let sw = &s.sweep;
-    let _ = writeln!(
-        json,
-        "      \"table4_sweep\": {{ \"pool_threads\": {}, \"single_thread_ms\": {:.1}, \
-         \"pooled_ms\": {:.1}, \"speedup\": {:.2} }},",
-        sw.pool_threads,
-        sw.single_thread_ms,
-        sw.pooled_ms,
-        sw.single_thread_ms / sw.pooled_ms.max(1e-9)
-    );
-    let sc = &s.scaling;
-    let _ = writeln!(json, "      \"scaling\": {{");
-    let _ = writeln!(json, "        \"grid_jobs\": {},", sc.grid_jobs);
-    json.push_str("        \"points\": [\n");
-    let base_ms = sc.points[0].wall_ms;
-    for (i, p) in sc.points.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "          {{ \"threads\": {}, \"wall_ms\": {:.1}, \"speedup\": {:.2} }}{}",
-            p.threads,
-            p.wall_ms,
-            base_ms / p.wall_ms.max(1e-9),
-            if i + 1 < sc.points.len() { "," } else { "" }
-        );
-    }
-    json.push_str("        ],\n");
-    json.push_str("        \"per_workload\": [\n");
-    for (i, w) in sc.per_workload.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "          {{ \"workload\": \"{}\", \"threads\": {}, \"single_thread_ms\": {:.1}, \
-             \"pooled_ms\": {:.1}, \"speedup\": {:.2} }}{}",
-            w.workload,
-            sc.max_threads,
-            w.single_thread_ms,
-            w.pooled_ms,
-            w.single_thread_ms / w.pooled_ms.max(1e-9),
-            if i + 1 < sc.per_workload.len() { "," } else { "" }
-        );
-    }
-    json.push_str("        ]\n");
-    json.push_str("      }\n");
-    let _ = writeln!(json, "    }}{}", if last { "" } else { "," });
+/// The smoke-section axes `--check` pairs by name: each entry list's key
+/// and the field naming an entry.
+const AXES: [(&str, &str); 4] = [
+    ("workloads", "workload"),
+    ("backends", "backend"),
+    ("layouts", "layout"),
+    ("designs", "design"),
+];
+
+/// This run's entry names per [`AXES`] axis.
+fn axis_names(s: &Section) -> [Vec<&'static str>; 4] {
+    [
+        s.workloads.iter().map(|w| w.workload).collect(),
+        s.backends.iter().map(|b| b.backend).collect(),
+        s.layouts.iter().map(|l| l.layout).collect(),
+        s.designs.iter().map(|d| d.design).collect(),
+    ]
 }
 
-/// Extract `(name, blocks_per_sec)` pairs for entries keyed by `key`
-/// (`"workload"` or `"backend"`) from the named section of a previously
-/// emitted file (the format is line-oriented by construction; no JSON
-/// dependency exists offline).
-fn parse_baseline_by(text: &str, section: &str, key: &str) -> Vec<(String, f64)> {
-    let mut rates = Vec::new();
-    let mut in_section = false;
-    let wanted = format!("\"{section}\": {{");
-    let pat = format!("\"{key}\": \"");
-    let entry = format!("{{ {pat}");
-    for line in text.lines() {
-        let t = line.trim();
-        if t == wanted {
-            in_section = true;
-        } else if in_section && (t == "\"smoke\": {" || t == "\"full\": {") {
-            break; // next section began
-        } else if in_section && t.starts_with(entry.as_str()) {
-            let name = t
-                .split(pat.as_str())
-                .nth(1)
-                .and_then(|r| r.split('"').next())
-                .unwrap_or_default()
-                .to_string();
-            let bps = t
-                .split("\"blocks_per_sec\": ")
-                .nth(1)
-                .and_then(|r| r.split(',').next())
-                .and_then(|r| r.trim_end_matches(&[' ', '}'][..]).parse::<f64>().ok());
-            if let Some(bps) = bps {
-                rates.push((name, bps));
+fn section_json(s: &Section) -> Json {
+    let workloads = s.workloads.iter().map(|w| {
+        Json::obj([
+            ("workload", w.workload.into()),
+            ("design", "AVR".into()),
+            ("sim_blocks", w.sim_blocks.into()),
+            ("wall_ms", w.wall_ms.into()),
+            ("blocks_per_sec", w.blocks_per_sec().into()),
+        ])
+    });
+    let backends = s.backends.iter().map(|b| {
+        Json::obj([
+            ("backend", b.backend.into()),
+            ("sim_blocks", b.sim_blocks.into()),
+            ("wall_ms", b.wall_ms.into()),
+            ("blocks_per_sec", b.blocks_per_sec().into()),
+            ("injected_bit_flips", b.injected_bit_flips.into()),
+            ("faulted_lines", b.faulted_lines.into()),
+            ("retries", b.retries.into()),
+            ("degraded_lines", b.degraded_lines.into()),
+            ("ecc_scrubs", b.ecc_scrubs.into()),
+        ])
+    });
+    let layouts = s.layouts.iter().map(|l| {
+        Json::obj([
+            ("layout", l.layout.into()),
+            ("workloads", l.workloads.into()),
+            ("sim_blocks", l.sim_blocks.into()),
+            ("wall_ms", l.wall_ms.into()),
+            ("blocks_per_sec", l.blocks_per_sec().into()),
+            ("approx_blocks", l.approx_blocks.into()),
+            ("compressible_blocks", l.compressible_blocks.into()),
+            ("compressible_fraction", l.compressible_fraction().into()),
+            ("mean_output_error", l.mean_output_error().into()),
+        ])
+    });
+    let designs = s.designs.iter().map(|d| {
+        Json::obj([
+            ("design", d.design.into()),
+            ("sim_blocks", d.sim_blocks.into()),
+            ("wall_ms", d.wall_ms.into()),
+            ("blocks_per_sec", d.blocks_per_sec().into()),
+            ("memo_hits", d.memo_hits.into()),
+            ("memo_served", d.memo_served.into()),
+            ("memo_elided", d.memo_elided.into()),
+        ])
+    });
+    let sw = &s.sweep;
+    let sc = &s.scaling;
+    let base_ms = sc.points[0].wall_ms;
+    let points = sc.points.iter().map(|p| {
+        Json::obj([
+            ("threads", p.threads.into()),
+            ("wall_ms", p.wall_ms.into()),
+            ("speedup", (base_ms / p.wall_ms.max(1e-9)).into()),
+        ])
+    });
+    let per_workload = sc.per_workload.iter().map(|w| {
+        Json::obj([
+            ("workload", w.workload.into()),
+            ("threads", sc.max_threads.into()),
+            ("single_thread_ms", w.single_thread_ms.into()),
+            ("pooled_ms", w.pooled_ms.into()),
+            ("speedup", (w.single_thread_ms / w.pooled_ms.max(1e-9)).into()),
+        ])
+    });
+    Json::obj([
+        ("scale", s.scale_label.into()),
+        ("workloads", Json::Arr(workloads.collect())),
+        ("backends", Json::Arr(backends.collect())),
+        ("layouts", Json::Arr(layouts.collect())),
+        ("designs", Json::Arr(designs.collect())),
+        (
+            "table4_sweep",
+            Json::obj([
+                ("pool_threads", sw.pool_threads.into()),
+                ("single_thread_ms", sw.single_thread_ms.into()),
+                ("pooled_ms", sw.pooled_ms.into()),
+                ("speedup", (sw.single_thread_ms / sw.pooled_ms.max(1e-9)).into()),
+            ]),
+        ),
+        (
+            "scaling",
+            Json::obj([
+                ("grid_jobs", sc.grid_jobs.into()),
+                ("points", Json::Arr(points.collect())),
+                ("per_workload", Json::Arr(per_workload.collect())),
+            ]),
+        ),
+    ])
+}
+
+fn server_json(r: &ServerRate) -> Json {
+    Json::obj([
+        ("scale", "tiny".into()),
+        ("cells", r.cells.into()),
+        ("direct_ms", r.direct_ms.into()),
+        ("server_ms", r.server_ms.into()),
+        ("repeat_ms", r.repeat_ms.into()),
+        ("cells_per_sec_direct", r.cells_per_sec_direct().into()),
+        ("cells_per_sec_server", r.cells_per_sec_server().into()),
+        ("overhead_fraction", r.overhead_fraction().into()),
+        ("golden_hits_delta", r.golden_hits_delta.into()),
+    ])
+}
+
+/// What `--check` reads from a committed trajectory file.
+struct Baseline {
+    /// Smoke-section `(name, blocks_per_sec)` entries per [`AXES`] axis. An
+    /// axis the file predates reads as empty, so this run's entries on it
+    /// count as drift.
+    axes: [Vec<(String, f64)>; 4],
+    /// The recording host's width, or `None` for trajectory files
+    /// predating the provenance record (BENCH_PR6.json and earlier).
+    host_width: Option<u64>,
+}
+
+impl Baseline {
+    /// Fails on a file with no smoke-section workloads, and on a workload
+    /// recording a non-positive blocks/s: that is a corrupt trajectory
+    /// file, not a slow host, and the gate would divide by it.
+    fn read(doc: &Json) -> Result<Baseline, String> {
+        let smoke = doc.get("sections").and_then(|s| s.get("smoke"));
+        let axes = AXES.map(|(list, key)| {
+            let entries =
+                smoke.and_then(|s| s.get(list)).and_then(Json::as_arr).unwrap_or_default();
+            entries
+                .iter()
+                .filter_map(|e| {
+                    let name = e.get(key)?.as_str()?.to_string();
+                    Some((name, e.get("blocks_per_sec")?.as_f64()?))
+                })
+                .collect::<Vec<_>>()
+        });
+        if axes[0].is_empty() {
+            return Err("no smoke-section workloads found".to_string());
+        }
+        if let Some((name, bps)) = axes[0].iter().find(|(_, bps)| *bps <= 0.0) {
+            return Err(format!("baseline {name} records {bps} blocks/s — corrupt baseline file"));
+        }
+        let host_width =
+            doc.get("host").and_then(|h| h.get("available_parallelism")).and_then(Json::as_u64);
+        Ok(Baseline { axes, host_width })
+    }
+
+    /// One `GATE: FAIL` line per entry present on only one side of an
+    /// axis. Set drift means the baseline no longer describes the suite:
+    /// the fix is to commit a regenerated BENCH_PRn.json.
+    fn drift(&self, current: &[Vec<&str>; 4]) -> Vec<String> {
+        let mut fails = Vec::new();
+        for (((_, axis), base), cur) in AXES.iter().zip(&self.axes).zip(current) {
+            for (name, _) in base.iter().filter(|(name, _)| !cur.contains(&name.as_str())) {
+                fails.push(format!(
+                    "GATE: FAIL — baseline {axis} {name} is absent from this run; retiring a \
+                     {axis} requires committing a regenerated BENCH_PRn.json"
+                ));
+            }
+            for name in cur.iter().filter(|name| !base.iter().any(|(b, _)| b == *name)) {
+                fails.push(format!(
+                    "GATE: FAIL — {axis} {name} is not in the baseline; adding a {axis} \
+                     requires committing a regenerated BENCH_PRn.json"
+                ));
             }
         }
+        fails
     }
-    rates
 }
 
-fn parse_baseline(text: &str, section: &str) -> Vec<(String, f64)> {
-    parse_baseline_by(text, section, "workload")
-}
+/// The `--check` gate: exits non-zero on set drift, on a differential
+/// blocks/s regression, or on a pooled sweep slower than single-thread.
+fn check(baseline_path: &str, baseline: &Baseline, smoke: &Section, host_width: usize) {
+    let drift = baseline.drift(&axis_names(smoke));
+    if !drift.is_empty() {
+        for line in &drift {
+            eprintln!("{line}");
+        }
+        eprintln!("GATE: workload/backend/layout/design set drift vs {baseline_path}");
+        std::process::exit(1);
+    }
+    // Without drift every baseline workload ran: pair them by name.
+    let ratios: Vec<(&str, f64, f64)> = baseline.axes[0]
+        .iter()
+        .map(|(name, base_bps)| {
+            let cur = smoke.workloads.iter().find(|w| w.workload == name).expect("no drift");
+            (name.as_str(), *base_bps, cur.blocks_per_sec() / base_bps)
+        })
+        .collect();
+    let mut sorted: Vec<f64> = ratios.iter().map(|r| r.2).collect();
+    sorted.sort_by(f64::total_cmp);
+    let machine_speed = sorted[sorted.len() / 2];
+    eprintln!("GATE: machine-speed factor vs baseline host: {machine_speed:.2}x (median)");
+    if machine_speed < GATE_FRACTION {
+        eprintln!(
+            "GATE: WARNING — this host runs the whole suite {:.0} % slower than the \
+             baseline host; uniform drift is not gated, only per-workload deltas",
+            (1.0 - machine_speed) * 100.0
+        );
+    }
+    let mut failed = false;
+    for (name, base_bps, raw) in &ratios {
+        let calibrated = raw / machine_speed;
+        let verdict = if calibrated < GATE_FRACTION { "REGRESSED" } else { "ok" };
+        eprintln!(
+            "GATE {name:<10} baseline {base_bps:>12.0}  raw {raw:>5.2}  calibrated \
+             {calibrated:>5.2}  {verdict}"
+        );
+        failed |= calibrated < GATE_FRACTION;
+    }
+    if failed {
+        eprintln!(
+            "GATE: a workload's blocks/s regressed more than {:.0} % beyond the \
+             fleet median",
+            (1.0 - GATE_FRACTION) * 100.0
+        );
+        std::process::exit(1);
+    }
+    eprintln!("GATE: all workloads within the {:.0} % budget", (1.0 - GATE_FRACTION) * 100.0);
 
-/// The baseline's recorded host width, or `None` for trajectory files
-/// predating the provenance record (BENCH_PR6.json and earlier).
-fn parse_host_width(text: &str) -> Option<usize> {
-    text.lines()
-        .find_map(|l| l.split("\"available_parallelism\": ").nth(1))
-        .and_then(|r| r.split(|c: char| !c.is_ascii_digit()).next()?.parse().ok())
+    // Width provenance: a raw speedup comparison across hosts with
+    // different hardware widths is meaningless — say so loudly, every
+    // time, so the PR-2 "1-thread container → speedup ≈ 1×" ambiguity
+    // can never silently recur.
+    match baseline.host_width {
+        Some(bw) if bw != host_width as u64 => eprintln!(
+            "GATE: WARNING — baseline {baseline_path} was recorded at \
+             available_parallelism={bw} but this host has {host_width}; pooled-speedup \
+             numbers are NOT comparable across host widths (only the current-host scaling \
+             gate below is meaningful)"
+        ),
+        Some(bw) => eprintln!("GATE: host width matches baseline ({bw} hardware threads)"),
+        None => eprintln!(
+            "GATE: WARNING — baseline {baseline_path} predates host-width provenance; \
+             its sweep speedups cannot be attributed to the engine or the recording host"
+        ),
+    }
+    // Current-host scaling gate: on any multi-core host, a pooled
+    // sweep that loses to single-thread is an engine regression, full
+    // stop — the exact class of failure the 0.94–0.97× trajectory
+    // entries could not flag.
+    let sweep_speedup = smoke.sweep.single_thread_ms / smoke.sweep.pooled_ms.max(1e-9);
+    if host_width >= 2 {
+        if sweep_speedup < SCALING_GATE {
+            eprintln!(
+                "GATE: FAIL — Table 4 sweep pooled speedup {sweep_speedup:.2}x < \
+                 {SCALING_GATE:.2}x on a {host_width}-thread host ({} threads pooled): the \
+                 parallel engine is slower than single-thread",
+                smoke.sweep.pool_threads
+            );
+            std::process::exit(1);
+        }
+        eprintln!(
+            "GATE: pooled sweep speedup {sweep_speedup:.2}x on {host_width} hardware \
+             threads — ok"
+        );
+    } else {
+        eprintln!(
+            "GATE: single-hardware-thread host — pooled speedup {sweep_speedup:.2}x \
+             recorded, scaling gate skipped (needs >= 2 cores)"
+        );
+    }
 }
 
 fn main() {
@@ -752,11 +867,25 @@ fn main() {
         .map(|i| args.get(i + 1).expect("--out needs a path").clone())
         .unwrap_or_else(|| "BENCH_current.json".to_string());
 
-    // Fail on an unwritable destination before spending the measurement.
+    // Fail on an unwritable destination or an unusable baseline before
+    // spending the measurement.
     if let Err(e) = std::fs::write(&out_path, "{}\n") {
         eprintln!("error: cannot write {out_path}: {e}");
         std::process::exit(1);
     }
+    let baseline = check_path.map(|path| {
+        let read = std::fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read baseline: {e}"))
+            .and_then(|text| Json::parse(&text))
+            .and_then(|doc| Baseline::read(&doc));
+        match read {
+            Ok(baseline) => (path, baseline),
+            Err(e) => {
+                eprintln!("error: {e} in {path}");
+                std::process::exit(1);
+            }
+        }
+    });
 
     let env_pool = SimPool::from_env();
     // The scaling record always exercises ≥ 4 workers (they time-slice on
@@ -778,40 +907,25 @@ fn main() {
         Some(measure_section(BenchScale::Bench, "bench", 1, sweep_threads))
     };
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"e2e\",");
-    let _ = writeln!(json, "  \"unit\": \"blocks_per_sec (1 KB simulated DRAM blocks / wall s)\",");
-    let _ = writeln!(json, "  \"mode\": \"{}\",", if smoke_only { "smoke" } else { "full" });
-    let _ = writeln!(json, "  \"target\": \"host-native (.cargo/config.toml)\",");
-    let _ = writeln!(
-        json,
-        "  \"host\": {{ \"available_parallelism\": {host_width}, \"pool_threads\": \
-         {sweep_threads} }},"
-    );
-    // One line by design: the section parser scans for `{ "workload": "`
-    // entries, which this must never resemble.
-    let _ = writeln!(
-        json,
-        "  \"server\": {{ \"scale\": \"tiny\", \"cells\": {}, \"direct_ms\": {:.1}, \
-         \"server_ms\": {:.1}, \"repeat_ms\": {:.1}, \"cells_per_sec_direct\": {:.1}, \
-         \"cells_per_sec_server\": {:.1}, \"overhead_fraction\": {:.4}, \
-         \"golden_hits_delta\": {} }},",
-        server.cells,
-        server.direct_ms,
-        server.server_ms,
-        server.repeat_ms,
-        server.cells_per_sec_direct(),
-        server.cells_per_sec_server(),
-        server.overhead_fraction(),
-        server.golden_hits_delta
-    );
-    json.push_str("  \"sections\": {\n");
-    render_section(&mut json, "smoke", &smoke, full.is_none());
+    let mut sections = vec![("smoke", section_json(&smoke))];
     if let Some(full) = &full {
-        render_section(&mut json, "full", full, true);
+        sections.push(("full", section_json(full)));
     }
-    json.push_str("  }\n}\n");
+    let doc = Json::obj([
+        ("bench", "e2e".into()),
+        ("unit", "blocks_per_sec (1 KB simulated DRAM blocks / wall s)".into()),
+        ("mode", if smoke_only { "smoke" } else { "full" }.into()),
+        ("target", "host-native (.cargo/config.toml)".into()),
+        (
+            "host",
+            Json::obj([
+                ("available_parallelism", host_width.into()),
+                ("pool_threads", sweep_threads.into()),
+            ]),
+        ),
+        ("server", server_json(&server)),
+        ("sections", Json::obj(sections)),
+    ]);
 
     for s in [Some(&smoke), full.as_ref()].into_iter().flatten() {
         eprintln!("-- {} scale --", s.scale_label);
@@ -901,206 +1015,120 @@ fn main() {
         server.golden_hits_delta
     );
 
-    std::fs::write(&out_path, &json).expect("write trajectory file");
+    std::fs::write(&out_path, doc.render() + "\n").expect("write trajectory file");
     eprintln!("wrote {out_path}");
 
-    if let Some(baseline_path) = check_path {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let baseline = parse_baseline(&text, "smoke");
-        if baseline.is_empty() {
-            eprintln!("error: no smoke-section workloads found in {baseline_path}");
-            std::process::exit(1);
-        }
-        // Pair current and baseline workloads by name. Workload-set drift
-        // (a PR adding or retiring a workload without regenerating the
-        // committed trajectory) means the baseline no longer describes the
-        // suite: that is a hard failure, not a warning — regenerate and
-        // commit the next BENCH_PRn.json. A baseline of 0 blocks/s is a
-        // corrupt trajectory file, not a slow host — fail loudly instead
-        // of dividing by it.
-        let mut drifted = false;
-        let mut ratios: Vec<(String, f64, f64)> = Vec::new(); // (name, base, raw ratio)
-        for (name, base_bps) in &baseline {
-            match smoke.workloads.iter().find(|w| w.workload == *name) {
-                Some(cur) => {
-                    if *base_bps <= 0.0 {
-                        eprintln!(
-                            "GATE: baseline {name} records {base_bps} blocks/s — corrupt \
-                             baseline file ({baseline_path})"
-                        );
-                        std::process::exit(1);
-                    }
-                    ratios.push((name.clone(), *base_bps, cur.blocks_per_sec() / base_bps))
-                }
-                None => {
-                    eprintln!(
-                        "GATE: FAIL — baseline workload {name} is absent from this run; \
-                         retiring a workload requires committing a regenerated BENCH_PRn.json"
-                    );
-                    drifted = true;
-                }
-            }
-        }
-        for w in &smoke.workloads {
-            if !baseline.iter().any(|(name, _)| name == w.workload) {
-                eprintln!(
-                    "GATE: FAIL — workload {} is not in the baseline; adding a workload \
-                     requires committing a regenerated BENCH_PRn.json",
-                    w.workload
-                );
-                drifted = true;
-            }
-        }
-        // The backend axis is part of the committed record: the set of
-        // error-model backends must match the baseline exactly.
-        let base_backends = parse_baseline_by(&text, "smoke", "backend");
-        for (name, _) in &base_backends {
-            if !smoke.backends.iter().any(|b| b.backend == *name) {
-                eprintln!(
-                    "GATE: FAIL — baseline backend {name} is absent from this run; \
-                     retiring a backend requires committing a regenerated BENCH_PRn.json"
-                );
-                drifted = true;
-            }
-        }
-        for b in &smoke.backends {
-            if !base_backends.iter().any(|(name, _)| name == b.backend) {
-                eprintln!(
-                    "GATE: FAIL — backend {} is not in the baseline; adding a backend \
-                     requires committing a regenerated BENCH_PRn.json",
-                    b.backend
-                );
-                drifted = true;
-            }
-        }
-        // So is the layout axis: the smoke gate must keep exercising the
-        // non-default layouts, so the measured layout set must match the
-        // baseline's exactly.
-        let base_layouts = parse_baseline_by(&text, "smoke", "layout");
-        for (name, _) in &base_layouts {
-            if !smoke.layouts.iter().any(|l| l.layout == *name) {
-                eprintln!(
-                    "GATE: FAIL — baseline layout {name} is absent from this run; \
-                     retiring a layout requires committing a regenerated BENCH_PRn.json"
-                );
-                drifted = true;
-            }
-        }
-        for l in &smoke.layouts {
-            if !base_layouts.iter().any(|(name, _)| name == l.layout) {
-                eprintln!(
-                    "GATE: FAIL — layout {} is not in the baseline; adding a layout \
-                     requires committing a regenerated BENCH_PRn.json",
-                    l.layout
-                );
-                drifted = true;
-            }
-        }
-        // And the design axis (PR 10): the set of designs the policy
-        // layer constructs must match the baseline exactly, so adding a
-        // design (a new `DesignPolicy`) or retiring one always comes with
-        // a regenerated trajectory file.
-        let base_designs = parse_baseline_by(&text, "smoke", "design");
-        for (name, _) in &base_designs {
-            if !smoke.designs.iter().any(|d| d.design == *name) {
-                eprintln!(
-                    "GATE: FAIL — baseline design {name} is absent from this run; \
-                     retiring a design requires committing a regenerated BENCH_PRn.json"
-                );
-                drifted = true;
-            }
-        }
-        for d in &smoke.designs {
-            if !base_designs.iter().any(|(name, _)| name == d.design) {
-                eprintln!(
-                    "GATE: FAIL — design {} is not in the baseline; adding a design \
-                     requires committing a regenerated BENCH_PRn.json",
-                    d.design
-                );
-                drifted = true;
-            }
-        }
-        if drifted {
-            eprintln!("GATE: workload/backend/layout/design set drift vs {baseline_path}");
-            std::process::exit(1);
-        }
-        if ratios.is_empty() {
-            eprintln!("GATE: no baseline workload matches this run's suite");
-            std::process::exit(1);
-        }
-        let mut sorted: Vec<f64> = ratios.iter().map(|r| r.2).collect();
-        sorted.sort_by(f64::total_cmp);
-        let machine_speed = sorted[sorted.len() / 2];
-        eprintln!("GATE: machine-speed factor vs baseline host: {machine_speed:.2}x (median)");
-        if machine_speed < GATE_FRACTION {
-            eprintln!(
-                "GATE: WARNING — this host runs the whole suite {:.0} % slower than the \
-                 baseline host; uniform drift is not gated, only per-workload deltas",
-                (1.0 - machine_speed) * 100.0
-            );
-        }
-        let mut failed = false;
-        for (name, base_bps, raw) in &ratios {
-            let calibrated = raw / machine_speed;
-            let verdict = if calibrated < GATE_FRACTION { "REGRESSED" } else { "ok" };
-            eprintln!(
-                "GATE {name:<10} baseline {base_bps:>12.0}  raw {raw:>5.2}  calibrated \
-                 {calibrated:>5.2}  {verdict}"
-            );
-            failed |= calibrated < GATE_FRACTION;
-        }
-        if failed {
-            eprintln!(
-                "GATE: a workload's blocks/s regressed more than {:.0} % beyond the \
-                 fleet median",
-                (1.0 - GATE_FRACTION) * 100.0
-            );
-            std::process::exit(1);
-        }
-        eprintln!("GATE: all workloads within the {:.0} % budget", (1.0 - GATE_FRACTION) * 100.0);
+    if let Some((baseline_path, baseline)) = baseline {
+        check(&baseline_path, &baseline, &smoke, host_width);
+    }
+}
 
-        // Width provenance: a raw speedup comparison across hosts with
-        // different hardware widths is meaningless — say so loudly, every
-        // time, so the PR-2 "1-thread container → speedup ≈ 1×" ambiguity
-        // can never silently recur.
-        match parse_host_width(&text) {
-            Some(bw) if bw != host_width => eprintln!(
-                "GATE: WARNING — baseline {baseline_path} was recorded at \
-                 available_parallelism={bw} but this host has {host_width}; pooled-speedup \
-                 numbers are NOT comparable across host widths (only the current-host scaling \
-                 gate below is meaningful)"
-            ),
-            Some(bw) => eprintln!("GATE: host width matches baseline ({bw} hardware threads)"),
-            None => eprintln!(
-                "GATE: WARNING — baseline {baseline_path} predates host-width provenance; \
-                 its sweep speedups cannot be attributed to the engine or the recording host"
-            ),
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn committed(pr: u32) -> Json {
+        let path = format!("{}/../../BENCH_PR{pr}.json", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        Json::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+    }
+
+    #[test]
+    fn committed_e2e_baselines_give_their_smoke_workloads() {
+        // particles joined the suite in PR 8.
+        for (pr, workloads) in
+            [(2, 9), (4, 9), (5, 9), (6, 9), (7, 9), (8, 10), (9, 10), (10, 10), (12, 10)]
+        {
+            let b = Baseline::read(&committed(pr)).unwrap();
+            assert_eq!(b.axes[0].len(), workloads, "BENCH_PR{pr}");
+            assert!(b.axes[0].iter().all(|(_, bps)| *bps > 0.0), "BENCH_PR{pr}");
         }
-        // Current-host scaling gate: on any multi-core host, a pooled
-        // sweep that loses to single-thread is an engine regression, full
-        // stop — the exact class of failure the 0.94–0.97× trajectory
-        // entries could not flag.
-        let sweep_speedup = smoke.sweep.single_thread_ms / smoke.sweep.pooled_ms.max(1e-9);
-        if host_width >= 2 {
-            if sweep_speedup < SCALING_GATE {
-                eprintln!(
-                    "GATE: FAIL — Table 4 sweep pooled speedup {sweep_speedup:.2}x < \
-                     {SCALING_GATE:.2}x on a {host_width}-thread host ({} threads pooled): the \
-                     parallel engine is slower than single-thread",
-                    smoke.sweep.pool_threads
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "GATE: pooled sweep speedup {sweep_speedup:.2}x on {host_width} hardware \
-                 threads — ok"
-            );
-        } else {
-            eprintln!(
-                "GATE: single-hardware-thread host — pooled speedup {sweep_speedup:.2}x \
-                 recorded, scaling gate skipped (needs >= 2 cores)"
-            );
+    }
+
+    #[test]
+    fn host_width_reads_where_recorded() {
+        for pr in [2, 4, 5, 6] {
+            assert_eq!(Baseline::read(&committed(pr)).unwrap().host_width, None, "BENCH_PR{pr}");
         }
+        for pr in [7, 8, 9, 10] {
+            assert_eq!(Baseline::read(&committed(pr)).unwrap().host_width, Some(1), "BENCH_PR{pr}");
+        }
+        assert_eq!(Baseline::read(&committed(12)).unwrap().host_width, Some(2));
+    }
+
+    #[test]
+    fn a_missing_axis_reads_empty_and_counts_as_drift() {
+        let b = Baseline::read(&committed(6)).unwrap();
+        assert!(b.axes[2].is_empty(), "BENCH_PR6 predates the layout axis");
+        let mut current: [Vec<&str>; 4] = Default::default();
+        for (axis, base) in current.iter_mut().zip(&b.axes) {
+            axis.extend(base.iter().map(|(name, _)| name.as_str()));
+        }
+        assert!(b.drift(&current).is_empty());
+        current[2].push("soa");
+        let drift = b.drift(&current);
+        assert_eq!(drift.len(), 1, "{drift:?}");
+        assert!(drift[0].contains("layout soa is not in the baseline"), "{drift:?}");
+    }
+
+    #[test]
+    fn zero_rate_and_smokeless_baselines_do_not_read() {
+        let doc = Json::parse(
+            r#"{"sections":{"smoke":{"workloads":[{"workload":"heat","blocks_per_sec":0}]}}}"#,
+        )
+        .unwrap();
+        let err = Baseline::read(&doc).err().expect("0 blocks/s must not read");
+        assert!(err.contains("corrupt"), "{err}");
+        assert!(Baseline::read(&committed(3)).is_err(), "the codec file has no smoke section");
+    }
+
+    #[test]
+    fn a_rendered_section_parses_back_to_the_same_rates() {
+        let s = Section {
+            scale_label: "tiny",
+            workloads: vec![WorkloadRate { workload: "heat", sim_blocks: 761, wall_ms: 3.7 }],
+            sweep: SweepTiming { pool_threads: 4, single_thread_ms: 12.5, pooled_ms: 7.25 },
+            backends: vec![BackendRate {
+                backend: "relaxed",
+                sim_blocks: 7610,
+                wall_ms: 41.3,
+                injected_bit_flips: 9,
+                faulted_lines: 8,
+                retries: 7,
+                degraded_lines: 1,
+                ecc_scrubs: 2,
+            }],
+            layouts: vec![LayoutRate {
+                layout: "aos",
+                workloads: 10,
+                sim_blocks: 5000,
+                wall_ms: 33.3,
+                approx_blocks: 400,
+                compressible_blocks: 101,
+                error_sum: 0.07,
+            }],
+            designs: vec![DesignRate {
+                design: "memoin",
+                sim_blocks: 3001,
+                wall_ms: 0.9,
+                memo_hits: 5,
+                memo_served: 4,
+                memo_elided: 0,
+            }],
+            scaling: Scaling {
+                grid_jobs: 70,
+                points: vec![ScalingPoint { threads: 1, wall_ms: 700.1 }],
+                max_threads: 4,
+                per_workload: vec![],
+            },
+        };
+        let doc = Json::obj([("sections", Json::obj([("smoke", section_json(&s))]))]);
+        let b = Baseline::read(&Json::parse(&doc.render()).unwrap()).unwrap();
+        let rate = |name: &str, bps: f64| vec![(name.to_string(), bps)];
+        assert_eq!(b.axes[0], rate("heat", s.workloads[0].blocks_per_sec()));
+        assert_eq!(b.axes[1], rate("relaxed", s.backends[0].blocks_per_sec()));
+        assert_eq!(b.axes[2], rate("aos", s.layouts[0].blocks_per_sec()));
+        assert_eq!(b.axes[3], rate("memoin", s.designs[0].blocks_per_sec()));
+        assert!(b.drift(&axis_names(&s)).is_empty());
     }
 }

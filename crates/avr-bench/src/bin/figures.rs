@@ -6,10 +6,12 @@
 //! ```
 //!
 //! The `bench` scale is the evaluation scale; `tiny` is the smoke scale.
+//! The last section, the ablation of AVR's mechanisms, is not a paper
+//! figure.
 
 use avr_bench::{
-    fig09, fig10, fig11, fig12, fig13, fig14, fig15, scale_from_env, scale_label, table3, table4,
-    Sweep,
+    ablation, fig09, fig10, fig11, fig12, fig13, fig14, fig15, scale_from_env, scale_label, table3,
+    table4, Sweep,
 };
 use avr_core::{DesignKind, OverheadReport, SystemConfig};
 
@@ -17,13 +19,18 @@ fn main() {
     let scale = scale_from_env();
     let pool = avr_core::SimPool::from_env();
     eprintln!(
-        "running full sweep at {} scale (9 benchmarks x 5 designs, {} pool threads)...",
+        "running full sweep at {} scale ({} pool threads)...",
         scale_label(scale),
         pool.threads()
     );
     let t0 = std::time::Instant::now();
     let sweep = Sweep::run_on(&pool, scale, &DesignKind::ALL);
-    eprintln!("sweep done in {:.1}s", t0.elapsed().as_secs_f64());
+    eprintln!(
+        "sweep done: {} programs x {} designs in {:.1}s",
+        sweep.runs.len() / sweep.designs.len(),
+        sweep.designs.len(),
+        t0.elapsed().as_secs_f64()
+    );
 
     print!("{}", table3(&sweep));
     print!("{}", table4(&sweep));
@@ -43,4 +50,6 @@ fn main() {
         let m = sweep.get(b, DesignKind::Avr);
         println!("{b:<10} {:>5.1} %", m.llc_cms_fraction * 100.0);
     }
+
+    print!("{}", ablation(&sweep, scale));
 }

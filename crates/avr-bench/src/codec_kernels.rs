@@ -1,6 +1,6 @@
-//! The codec microbenchmark kernels, shared by the `codec_kernels`
-//! criterion bench and the `bench_codec` JSON emitter so both measure the
-//! same blocks.
+//! The codec microbenchmark kernels: the blocks the `bench_codec` JSON
+//! emitter times, shared with the allocation tests so both drive the same
+//! codec paths.
 
 use avr_types::BlockData;
 

@@ -3,8 +3,8 @@
 //! them in the paper's format.
 //!
 //! Scales:
-//! * `tiny`  — smoke scale, the default for `cargo bench` (so the whole
-//!   workspace bench suite stays minutes, not hours);
+//! * `tiny`  — smoke scale, the default for the `figures` binary (the
+//!   whole evaluation regenerates in about a second);
 //! * `bench` — the evaluation scale with paper-like footprint:LLC
 //!   ratios; select with `AVR_SCALE=bench`.
 
@@ -61,14 +61,9 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// Run `designs` × the full suite at `scale` on an environment-sized
-    /// pool (each run is an independent single-threaded simulation).
-    pub fn run(scale: BenchScale, designs: &[DesignKind]) -> Sweep {
-        Sweep::run_on(&SimPool::from_env(), scale, designs)
-    }
-
-    /// Run the (workload × design) grid on `pool`. Results are
-    /// bit-identical for any pool width.
+    /// Run `designs` × the full suite at `scale` on `pool` (each run is an
+    /// independent single-threaded simulation). Results are bit-identical
+    /// for any pool width.
     pub fn run_on(pool: &SimPool, scale: BenchScale, designs: &[DesignKind]) -> Sweep {
         let cfg = figure_config_for(scale);
         let runs = run_suite_on_pool(pool, scale, &cfg, designs)
@@ -113,7 +108,11 @@ mod tests {
 
     #[test]
     fn sweep_runs_all_cells_at_tiny_scale() {
-        let sweep = Sweep::run(BenchScale::Tiny, &[DesignKind::Baseline, DesignKind::Avr]);
+        let sweep = Sweep::run_on(
+            &SimPool::from_env(),
+            BenchScale::Tiny,
+            &[DesignKind::Baseline, DesignKind::Avr],
+        );
         // Ten workloads (BENCH_ORDER's nine + particles) x two designs.
         assert_eq!(sweep.runs.len(), 20);
         for b in BENCH_ORDER {
@@ -126,7 +125,11 @@ mod tests {
 
     #[test]
     fn normalized_rows_have_nine_entries() {
-        let sweep = Sweep::run(BenchScale::Tiny, &[DesignKind::Baseline, DesignKind::Avr]);
+        let sweep = Sweep::run_on(
+            &SimPool::from_env(),
+            BenchScale::Tiny,
+            &[DesignKind::Baseline, DesignKind::Avr],
+        );
         let (vals, gm) = sweep.normalized_row(DesignKind::Avr, |m, b| m.exec_time_norm(b));
         assert_eq!(vals.len(), 9);
         assert!(gm > 0.0);

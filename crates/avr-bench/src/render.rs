@@ -1,9 +1,11 @@
 //! Text renderers: each function prints one of the paper's tables/figures
 //! from a [`Sweep`], in the same row/series structure the paper uses.
 
-use crate::{Sweep, BENCH_ORDER, FIGURE_DESIGNS};
+use crate::{figure_config_for, Sweep, BENCH_ORDER, FIGURE_DESIGNS};
 use avr_core::DesignKind;
 use avr_sim::RunMetrics;
+use avr_types::AvrParams;
+use avr_workloads::{run_on_design, workload_by_name, BenchScale};
 
 fn header(title: &str) -> String {
     let mut s = String::new();
@@ -199,13 +201,57 @@ pub fn fig15(sweep: &Sweep) -> String {
     s
 }
 
+/// An ablation row: its label and the edit that disables one mechanism.
+type Knob = (&'static str, fn(&mut AvrParams));
+
+const AVR_KNOBS: [Knob; 6] = [
+    ("full AVR", |_| {}),
+    ("no lazy evictions", |a| a.enable_lazy = false),
+    ("no DBUF", |a| a.enable_dbuf = false),
+    ("no skip history", |a| a.enable_skip_history = false),
+    ("no CMS in LLC", |a| a.store_cms_in_llc = false),
+    // Prefetch only fully-requested blocks: nothing is ever left to fetch.
+    ("no PFE", |a| a.pfe_threshold = 1.0),
+];
+
+/// Ablation (not a paper figure): the AVR mechanisms the paper's
+/// Conclusions enumerate — lazy evictions (§3.1), the DBUF (§3.3), the
+/// compression-failure backoff (§3.2), compressed blocks in the LLC (§3.4)
+/// and prefetch-on-fetch — each disabled in isolation on lattice and lbm,
+/// the most mechanism-sensitive workloads, normalized to the sweep's
+/// baseline cell at `scale`.
+pub fn ablation(sweep: &Sweep, scale: BenchScale) -> String {
+    let mut s = String::from("\n=== Ablation: AVR mechanisms disabled one at a time ===\n");
+    for bench in ["lattice", "lbm"] {
+        let w = workload_by_name(bench, scale).expect("in suite");
+        let base = sweep.baseline(bench);
+        s.push_str(&format!(
+            "\n{bench}:\n{:<22}{:>12}{:>12}{:>12}{:>12}\n",
+            "variant", "exec norm", "traffic", "error %", "MPKI norm"
+        ));
+        for (label, disable) in AVR_KNOBS {
+            let mut cfg = figure_config_for(scale);
+            disable(&mut cfg.avr);
+            let m = run_on_design(w.as_ref(), &cfg, DesignKind::Avr);
+            s.push_str(&format!(
+                "{label:<22}{:>12.3}{:>12.3}{:>12.3}{:>12.3}\n",
+                m.exec_time_norm(base),
+                m.traffic_norm(base),
+                m.output_error * 100.0,
+                m.mpki_norm(base),
+            ));
+        }
+    }
+    s
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avr_workloads::BenchScale;
+    use avr_core::SimPool;
 
     fn mini_sweep() -> Sweep {
-        Sweep::run(BenchScale::Tiny, &DesignKind::ALL)
+        Sweep::run_on(&SimPool::from_env(), BenchScale::Tiny, &DesignKind::ALL)
     }
 
     #[test]
@@ -226,6 +272,19 @@ mod tests {
                 assert!(text.contains(b), "missing {b} in:\n{text}");
             }
         }
+    }
+
+    #[test]
+    fn ablation_has_every_knob_row_for_both_workloads() {
+        let s = mini_sweep();
+        let t = ablation(&s, BenchScale::Tiny);
+        for (label, _) in AVR_KNOBS {
+            assert_eq!(t.matches(&format!("\n{label} ")).count(), 2, "{label} rows in:\n{t}");
+        }
+        // The unablated row reproduces the sweep's own AVR cell.
+        let (avr, base) = (s.get("lattice", DesignKind::Avr), s.baseline("lattice"));
+        let row = format!("{:<22}{:>12.3}", "full AVR", avr.exec_time_norm(base));
+        assert!(t.contains(&row), "{row:?} missing from:\n{t}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! * property tests assert [`compress_reference`] and
 //!   [`crate::compress`] are bit-identical on success (compressed block
 //!   and reconstruction) and agree on the failure mode;
-//! * the `codec_kernels` criterion bench measures the fused path's speedup
+//! * `avr-bench`'s `bench_codec` binary measures the fused path's speedup
 //!   against this implementation, tracked in the repo's `BENCH_*.json`
 //!   trajectory files.
 //!

@@ -30,9 +30,7 @@
 //! * Under concurrency each key is computed **exactly once**: racing pool
 //!   workers block on the per-key [`OnceLock`] instead of duplicating the
 //!   run (the [`stats`] counters make this assertable).
-//! * `AVR_NO_GOLDEN_CACHE=1` (checked once per process) disables the
-//!   cache for A/B timing; [`clear`] empties it for cold-cache sections
-//!   and tests.
+//! * [`clear`] empties the cache for cold-cache sections and tests.
 
 use crate::runner::Workload;
 use avr_core::ExactVm;
@@ -101,11 +99,6 @@ fn map() -> &'static Mutex<HashMap<GoldenKey, Entry>> {
     MAP.get_or_init(Mutex::default)
 }
 
-fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("AVR_NO_GOLDEN_CACHE").map_or(true, |v| v != "1"))
-}
-
 /// Empty the cache (cold-cache timing sections, test isolation). Counters
 /// in [`stats`] keep accumulating; diff around a region instead.
 pub fn clear() {
@@ -121,7 +114,7 @@ pub fn golden_run(workload: &dyn Workload) -> Arc<Vec<f64>> {
         let mut exact = ExactVm::new();
         Arc::new(workload.run(&mut exact))
     };
-    let Some(key) = workload.golden_key().filter(|_| enabled()) else {
+    let Some(key) = workload.golden_key() else {
         return compute();
     };
     // Entry resolution holds the map lock only for the HashMap probe; the

@@ -1,6 +1,6 @@
 //! The whole simulator is deterministic: identical runs produce identical
-//! cycle counts, traffic, and outputs — a property the figure benches and
-//! the committed trajectory files depend on.
+//! cycle counts, traffic, and outputs — a property the regenerated figures
+//! and the committed trajectory files depend on.
 
 use avr::arch::{DesignKind, SimPool, SystemConfig};
 use avr::workloads::{all_benchmarks, run_grid, run_on_design, BenchScale};

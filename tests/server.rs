@@ -295,9 +295,6 @@ fn drain_finishes_queued_work_then_refuses_submissions_and_exits() {
 
 #[test]
 fn golden_cache_amortizes_repeated_submissions() {
-    if std::env::var_os("AVR_NO_GOLDEN_CACHE").is_some() {
-        return; // cache disabled: nothing to amortize
-    }
     let server = SweepServer::bind_with("127.0.0.1:0", SimPool::new(1)).unwrap();
     let (addr, handle) = server.spawn();
     let mut client = Client::connect(addr).unwrap();
