@@ -8,7 +8,10 @@
 #                         (rustdoc warnings denied: the redesigned public
 #                         bulk Vm API stays documented)
 #   ./ci.sh test-debug    debug build + full test suite
-#   ./ci.sh test-release  release build + full test suite
+#   ./ci.sh test-release  release build + full test suite + the benchmark
+#                         package's unit tests (avr_benchmark/: its digest
+#                         pins, the Vm wrapper's transparency, and its
+#                         release profile matching the workspace's)
 #   ./ci.sh test-scalar   release test suite with AVR_NO_SIMD=1 — forces
 #                         the portable scalar codec arm so the non-dispatch
 #                         path can never rot
@@ -34,7 +37,7 @@
 #                         cell to a direct run), plus the sweep_server
 #                         binary driven over a real socket
 #   ./ci.sh perf          bench smoke: bench_e2e --smoke gated against the
-#                         committed BENCH_PR12.json + codec kernel smoke +
+#                         committed BENCH_PR14.json + codec kernel smoke +
 #                         every table/figure and the ablation at tiny scale
 #   ./ci.sh quick         fast local pre-commit check (lint + release tests)
 #
@@ -89,6 +92,10 @@ test_release() {
 
     echo "==> cargo test --release (workspace)"
     cargo test --release --workspace -q
+
+    echo "==> cargo test --release (benchmark package)"
+    # A package of its own (empty [workspace]), so --workspace skips it.
+    cargo test --release --offline --manifest-path avr_benchmark/Cargo.toml
 }
 
 test_scalar() {
@@ -189,13 +196,14 @@ PYEOF
 }
 
 perf() {
-    echo "==> perf smoke: end-to-end blocks/s vs committed BENCH_PR12.json"
+    echo "==> perf smoke: end-to-end blocks/s vs committed BENCH_PR14.json"
     # Fails when any workload's blocks/s regresses > 25 % against the
     # committed trajectory baseline (median-calibrated: uniform machine
     # speed cancels), and hard-fails on workload/backend/layout/design
     # set drift; the JSON is uploaded as a CI artifact. The baseline is
-    # BENCH_PR12.json — the trajectory recorded after the dedup LLC's
-    # O(1) rewrite, with the per-design section (the full
+    # BENCH_PR14.json — the trajectory recorded after the cache metadata
+    # went struct-of-arrays (AVR LLC, L1/L2) and the CMT cache's eviction
+    # went O(1), with the per-design section (the full
     # `DesignKind::ALL` set including the memoization family) alongside
     # the ten-workload suite, the per-backend and per-layout sections and
     # the sweep-server loopback record, so the smoke gate exercises every
@@ -203,7 +211,7 @@ perf() {
     # runner the gate also fails if the pooled Table 4 sweep is slower
     # than single-thread (the ROADMAP re-gate rule applies).
     cargo run --release -p avr-bench --bin bench_e2e -- \
-        --smoke --check BENCH_PR12.json --out bench-e2e-smoke.json
+        --smoke --check BENCH_PR14.json --out bench-e2e-smoke.json
 
     echo "==> codec kernel smoke (reference vs fused, shrunk measurement)"
     AVR_BENCH_FAST=1 cargo run --release -p avr-bench --bin bench_codec -- /tmp/bench_smoke.json

@@ -167,28 +167,44 @@ impl CmtTable {
 /// fully associative LRU over `capacity_pages` entries. A miss costs a
 /// metadata fetch (~12 B: 4 entries x 23 bits + the TLB approx bit).
 ///
-/// Residency is tracked in a flat open-addressed table (linear probing,
-/// backward-shift deletion) sized at construction: the per-access hit path
-/// probes a few adjacent slots and never allocates. LRU decisions are
-/// exactly those of a fully-associative cache (each entry carries its
-/// last-use clock; eviction scans for the minimum, which only runs on
-/// misses with a full cache).
+/// Resident pages live in a slab threaded on an intrusive doubly linked
+/// recency list (least recent at `lru`, most recent at `mru`); a flat
+/// open-addressed index (linear probing, backward-shift deletion) sized at
+/// construction maps a page to its slab entry. A hit probes a few adjacent
+/// index slots and relinks one entry; a capacity miss reuses the `lru`
+/// entry. Every operation is O(1) and never allocates, and the decisions
+/// are exactly those of a fully-associative LRU cache: every touch moves
+/// its page to the `mru` end, so list order is last-use order.
 #[derive(Clone, Debug)]
 pub struct CmtCache {
     capacity_pages: usize,
-    slots: Vec<CacheSlot>,
+    index: Vec<IndexSlot>,
     mask: usize,
-    len: usize,
-    clock: u64,
+    pages: Vec<PageNode>,
+    lru: u32,
+    mru: u32,
     pub hits: u64,
     pub misses: u64,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct CacheSlot {
-    used: bool,
+/// End of the recency list, and the entry of an empty index slot.
+const NIL: u32 = u32::MAX;
+
+/// One slot of the page index: a page and the slab entry caching it.
+#[derive(Clone, Copy, Debug)]
+struct IndexSlot {
     page: u64,
-    last_use: u64,
+    entry: u32,
+}
+
+const EMPTY_SLOT: IndexSlot = IndexSlot { page: 0, entry: NIL };
+
+/// A resident page and its neighbours on the recency list.
+#[derive(Clone, Copy, Debug)]
+struct PageNode {
+    page: u64,
+    prev: u32,
+    next: u32,
 }
 
 /// Metadata bytes transferred on a CMT-cache miss (93 bits rounded up).
@@ -196,15 +212,16 @@ pub const CMT_MISS_BYTES: u64 = 12;
 
 impl CmtCache {
     pub fn new(capacity_pages: usize) -> Self {
-        assert!(capacity_pages > 0);
+        assert!(capacity_pages > 0 && capacity_pages < NIL as usize);
         // 2x capacity keeps probe chains short; power of two for masking.
         let table = (capacity_pages * 2).next_power_of_two();
         CmtCache {
             capacity_pages,
-            slots: vec![CacheSlot::default(); table],
+            index: vec![EMPTY_SLOT; table],
             mask: table - 1,
-            len: 0,
-            clock: 0,
+            pages: Vec::with_capacity(capacity_pages),
+            lru: NIL,
+            mru: NIL,
             hits: 0,
             misses: 0,
         }
@@ -215,21 +232,30 @@ impl CmtCache {
         (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize & self.mask
     }
 
+    /// Index slot holding `page`, or the empty slot ending its probe chain.
+    #[inline]
+    fn probe(&self, page: u64) -> usize {
+        let mut i = self.home(page);
+        while self.index[i].entry != NIL && self.index[i].page != page {
+            i = (i + 1) & self.mask;
+        }
+        i
+    }
+
     /// Backward-shift deletion keeps probe chains compact (no tombstones).
     fn remove_at(&mut self, mut i: usize) {
-        self.len -= 1;
         loop {
-            self.slots[i].used = false;
+            self.index[i] = EMPTY_SLOT;
             let mut j = i;
             loop {
                 j = (j + 1) & self.mask;
-                if !self.slots[j].used {
+                if self.index[j].entry == NIL {
                     return;
                 }
-                let home = self.home(self.slots[j].page);
+                let home = self.home(self.index[j].page);
                 // Can entry j legally move up to the hole at i?
                 if (j.wrapping_sub(home) & self.mask) >= (j.wrapping_sub(i) & self.mask) {
-                    self.slots[i] = self.slots[j];
+                    self.index[i] = self.index[j];
                     i = j;
                     break;
                 }
@@ -237,41 +263,61 @@ impl CmtCache {
         }
     }
 
+    /// Take slab entry `e` off the recency list.
+    fn unlink(&mut self, e: u32) {
+        let PageNode { prev, next, .. } = self.pages[e as usize];
+        match prev {
+            NIL => self.lru = next,
+            p => self.pages[p as usize].next = next,
+        }
+        match next {
+            NIL => self.mru = prev,
+            n => self.pages[n as usize].prev = prev,
+        }
+    }
+
+    /// Append slab entry `e` at the most-recent end of the list.
+    fn push_mru(&mut self, e: u32) {
+        self.pages[e as usize].prev = self.mru;
+        self.pages[e as usize].next = NIL;
+        match self.mru {
+            NIL => self.lru = e,
+            m => self.pages[m as usize].next = e,
+        }
+        self.mru = e;
+    }
+
     /// Touch the page holding `block`'s metadata; returns `true` on hit.
     /// On a miss the caller charges [`CMT_MISS_BYTES`] of traffic.
     pub fn touch(&mut self, block: BlockAddr) -> bool {
-        self.clock += 1;
         let page = block.page();
-        let mut i = self.home(page);
-        while self.slots[i].used {
-            if self.slots[i].page == page {
-                self.slots[i].last_use = self.clock;
-                self.hits += 1;
-                return true;
+        let slot = self.probe(page);
+        let e = self.index[slot].entry;
+        if e != NIL {
+            if e != self.mru {
+                self.unlink(e);
+                self.push_mru(e);
             }
-            i = (i + 1) & self.mask;
+            self.hits += 1;
+            return true;
         }
         self.misses += 1;
-        if self.len >= self.capacity_pages {
-            // Evict the LRU page (full scan; runs only on capacity misses,
-            // like the min-scan of the fully-associative model).
-            let victim = self
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.used)
-                .min_by_key(|(_, s)| s.last_use)
-                .map(|(i, _)| i)
-                .expect("cache is full");
+        let e = if self.pages.len() < self.capacity_pages {
+            self.pages.push(PageNode { page, prev: NIL, next: NIL });
+            (self.pages.len() - 1) as u32
+        } else {
+            // Full: the least-recently-used page gives up its entry.
+            let e = self.lru;
+            let victim = self.probe(self.pages[e as usize].page);
             self.remove_at(victim);
-        }
+            self.unlink(e);
+            self.pages[e as usize].page = page;
+            e
+        };
+        self.push_mru(e);
         // Re-probe: the backward shift may have moved entries around.
-        let mut i = self.home(page);
-        while self.slots[i].used {
-            i = (i + 1) & self.mask;
-        }
-        self.slots[i] = CacheSlot { used: true, page, last_use: self.clock };
-        self.len += 1;
+        let slot = self.probe(page);
+        self.index[slot] = IndexSlot { page, entry: e };
         false
     }
 }
@@ -405,12 +451,17 @@ mod tests {
         // The open-addressed cache must make exactly the decisions of a
         // fully-associative LRU over random page streams.
         let mut state = 0xC3A7u64;
-        for capacity in [1usize, 2, 7, 64] {
+        // 1024 is the bench-scale capacity; every capacity sees a page
+        // universe half again its size, so full caches keep evicting.
+        for capacity in [1usize, 2, 7, 64, 1024] {
             let mut cache = CmtCache::new(capacity);
             let mut model: Vec<u64> = Vec::new(); // MRU at the back
-            for _ in 0..4000 {
+            let universe = 97.max(capacity as u64 * 3 / 2);
+            let touches = 4000.max(40 * universe);
+            let mut evictions = 0;
+            for _ in 0..touches {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let page = (state >> 33) % 97;
+                let page = (state >> 33) % universe;
                 let block = BlockAddr(page * 4); // 4 blocks per page
                 let hit = cache.touch(block);
                 let model_hit = model.contains(&page);
@@ -418,9 +469,12 @@ mod tests {
                 model.retain(|&p| p != page);
                 if !model_hit && model.len() == capacity {
                     model.remove(0); // evict LRU
+                    evictions += 1;
                 }
                 model.push(page);
             }
+            assert!(evictions > 0, "cap {capacity}: the stream never filled the cache");
+            assert_eq!(cache.hits + cache.misses, touches);
         }
     }
 

@@ -21,6 +21,6 @@ pub mod set_assoc;
 
 pub use cmt::{CmtCache, CmtEntry, CmtTable};
 pub use dbuf::Dbuf;
-pub use llc::{AvrLlc, ClMask, EvictList, Evicted};
+pub use llc::{AvrLlc, ClMask, Evicted};
 pub use pfe::PrefetchEngine;
 pub use set_assoc::{CacheStats, Eviction, SetAssocCache};

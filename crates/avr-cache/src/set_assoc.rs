@@ -1,7 +1,7 @@
 //! Conventional set-associative write-back cache (metadata only).
 //!
 //! Used for the private L1/L2 levels and for the baseline LLC. True-LRU
-//! replacement via per-set recency counters.
+//! replacement via per-way recency stamps from one cache-wide clock.
 
 use avr_types::{CacheGeometry, LineAddr};
 
@@ -35,37 +35,54 @@ pub struct Eviction {
     pub dirty: bool,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Way {
-    tag: u64,
-    dirty: bool,
-    lru: u64,
-    valid: bool,
-}
-
-const INVALID: Way = Way { tag: 0, dirty: false, lru: 0, valid: false };
-
 /// The cache. Lines are identified by [`LineAddr`]; the set index is the low
 /// `log2(sets)` bits of the line address, the tag the remaining bits.
+///
+/// Way metadata is kept as parallel arrays (struct-of-arrays), so a lookup
+/// scans only the packed keys and a victim search only the stamps:
+/// `keys[w]` is `tag + 1` (0 = invalid way), `stamps[w]` the clock of the
+/// way's last use (0 while invalid, >= 1 once filled), `dirty[w]` its
+/// write-back bit.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     sets: usize,
     ways: usize,
     latency: u64,
-    entries: Vec<Way>,
+    keys: Vec<u64>,
+    stamps: Vec<u64>,
+    dirty: Vec<bool>,
     clock: u64,
     pub stats: CacheStats,
+}
+
+/// Index of the first minimum of `stamps`: the replacement victim of a set
+/// whose invalid ways carry stamp 0 and valid ways stamps >= 1 — the first
+/// free way if there is one, else the first least-recently-used way.
+#[inline]
+pub(crate) fn first_min(stamps: &[u64]) -> usize {
+    let mut best = 0;
+    let mut min = stamps[0];
+    for (w, &s) in stamps.iter().enumerate().skip(1) {
+        if s < min {
+            min = s;
+            best = w;
+        }
+    }
+    best
 }
 
 impl SetAssocCache {
     pub fn new(geom: CacheGeometry) -> Self {
         let sets = geom.sets();
         assert!(sets.is_power_of_two() && sets > 0);
+        let n = sets * geom.ways;
         SetAssocCache {
             sets,
             ways: geom.ways,
             latency: geom.latency,
-            entries: vec![INVALID; sets * geom.ways],
+            keys: vec![0; n],
+            stamps: vec![0; n],
+            dirty: vec![false; n],
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -81,35 +98,42 @@ impl SetAssocCache {
         (line.0 as usize) & (self.sets - 1)
     }
 
+    /// The packed way key of `line`: its tag plus one.
     #[inline]
-    fn tag_of(&self, line: LineAddr) -> u64 {
-        line.0 >> self.sets.trailing_zeros()
+    fn key_of(&self, line: LineAddr) -> u64 {
+        (line.0 >> self.sets.trailing_zeros()) + 1
     }
 
-    fn set_slice(&mut self, set: usize) -> &mut [Way] {
-        let start = set * self.ways;
-        &mut self.entries[start..start + self.ways]
+    /// Slot (`set * ways + way`) holding `line`, if resident.
+    #[inline]
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        let key = self.key_of(line);
+        let base = self.set_of(line) * self.ways;
+        self.keys[base..base + self.ways].iter().position(|&k| k == key).map(|w| base + w)
+    }
+
+    /// The line held by valid slot `slot` of set `set`.
+    #[inline]
+    fn line_at(&self, set: usize, slot: usize) -> LineAddr {
+        LineAddr(((self.keys[slot] - 1) << self.sets.trailing_zeros()) | set as u64)
     }
 
     /// Look up a line; on hit refresh its recency (and optionally mark it
     /// dirty for a store). Updates hit/miss statistics.
     pub fn access(&mut self, line: LineAddr, write: bool) -> bool {
         self.clock += 1;
-        let clock = self.clock;
-        let tag = self.tag_of(line);
-        let set = self.set_of(line);
-        for w in self.set_slice(set) {
-            if w.valid && w.tag == tag {
-                w.lru = clock;
-                if write {
-                    w.dirty = true;
-                }
+        match self.find(line) {
+            Some(i) => {
+                self.stamps[i] = self.clock;
+                self.dirty[i] |= write;
                 self.stats.hits += 1;
-                return true;
+                true
+            }
+            None => {
+                self.stats.misses += 1;
+                false
             }
         }
-        self.stats.misses += 1;
-        false
     }
 
     /// Closed-form batch of `n` guaranteed hits to a resident line: one
@@ -127,84 +151,56 @@ impl SetAssocCache {
             return;
         }
         self.clock += n;
-        let clock = self.clock;
-        let tag = self.tag_of(line);
-        let set = self.set_of(line);
-        let way = self
-            .set_slice(set)
-            .iter_mut()
-            .find(|w| w.valid && w.tag == tag)
-            .expect("access_hit_n: line not resident");
-        way.lru = clock;
-        if write {
-            way.dirty = true;
-        }
+        let i = self.find(line).expect("access_hit_n: line not resident");
+        self.stamps[i] = self.clock;
+        self.dirty[i] |= write;
         self.stats.hits += n;
     }
 
     /// Is the line present? No LRU update, no statistics.
     pub fn contains(&self, line: LineAddr) -> bool {
-        let tag = self.tag_of(line);
-        let start = self.set_of(line) * self.ways;
-        self.entries[start..start + self.ways].iter().any(|w| w.valid && w.tag == tag)
+        self.find(line).is_some()
     }
 
     /// Insert a line (after a miss), evicting the LRU victim if the set is
     /// full. Re-inserting a present line just refreshes it.
     pub fn insert(&mut self, line: LineAddr, dirty: bool) -> Option<Eviction> {
         self.clock += 1;
-        let clock = self.clock;
-        let tag = self.tag_of(line);
+        if let Some(i) = self.find(line) {
+            self.stamps[i] = self.clock;
+            self.dirty[i] |= dirty;
+            return None;
+        }
         let set = self.set_of(line);
-        let sets = self.sets;
-        let ways = self.set_slice(set);
-
-        // Already present?
-        if let Some(w) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
-            w.lru = clock;
-            w.dirty |= dirty;
-            return None;
+        let base = set * self.ways;
+        let i = base + first_min(&self.stamps[base..base + self.ways]);
+        let evicted = (self.keys[i] != 0)
+            .then(|| Eviction { line: self.line_at(set, i), dirty: self.dirty[i] });
+        self.keys[i] = self.key_of(line);
+        self.stamps[i] = self.clock;
+        self.dirty[i] = dirty;
+        if let Some(e) = evicted {
+            self.stats.evictions += 1;
+            self.stats.dirty_evictions += e.dirty as u64;
         }
-        // Free way?
-        if let Some(w) = ways.iter_mut().find(|w| !w.valid) {
-            *w = Way { tag, dirty, lru: clock, valid: true };
-            return None;
-        }
-        // Evict LRU.
-        let victim = ways.iter_mut().min_by_key(|w| w.lru).expect("non-zero associativity");
-        let evicted = Eviction {
-            line: LineAddr((victim.tag << sets.trailing_zeros()) | set as u64),
-            dirty: victim.dirty,
-        };
-        *victim = Way { tag, dirty, lru: clock, valid: true };
-        self.stats.evictions += 1;
-        if evicted.dirty {
-            self.stats.dirty_evictions += 1;
-        }
-        Some(evicted)
+        evicted
     }
 
     /// Drop a line (back-invalidation), returning whether it was dirty.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
-        let tag = self.tag_of(line);
-        let set = self.set_of(line);
-        for w in self.set_slice(set) {
-            if w.valid && w.tag == tag {
-                let dirty = w.dirty;
-                *w = INVALID;
-                return Some(dirty);
-            }
-        }
-        None
+        let i = self.find(line)?;
+        let dirty = self.dirty[i];
+        self.keys[i] = 0;
+        self.stamps[i] = 0;
+        self.dirty[i] = false;
+        Some(dirty)
     }
 
     /// Iterate over all resident lines (diagnostics / tests).
     pub fn resident_lines(&self) -> impl Iterator<Item = (LineAddr, bool)> + '_ {
-        let idx_bits = self.sets.trailing_zeros();
-        self.entries.iter().enumerate().filter(|(_, w)| w.valid).map(move |(i, w)| {
-            let set = (i / self.ways) as u64;
-            (LineAddr((w.tag << idx_bits) | set), w.dirty)
-        })
+        (0..self.keys.len())
+            .filter(|&i| self.keys[i] != 0)
+            .map(|i| (self.line_at(i / self.ways, i), self.dirty[i]))
     }
 }
 
@@ -328,9 +324,11 @@ mod tests {
         bat.access_hit_n(a, 1, false);
         assert_eq!(seq.clock, bat.clock);
         assert_eq!(seq.stats, bat.stats);
-        let sl: Vec<_> = seq.entries.iter().map(|w| (w.valid, w.tag, w.dirty, w.lru)).collect();
-        let bl: Vec<_> = bat.entries.iter().map(|w| (w.valid, w.tag, w.dirty, w.lru)).collect();
-        assert_eq!(sl, bl, "way metadata diverged");
+        assert_eq!(
+            (&seq.keys, &seq.stamps, &seq.dirty),
+            (&bat.keys, &bat.stamps, &bat.dirty),
+            "way metadata diverged"
+        );
         // The LRU victim (eviction order) must agree on both.
         let ev_s = seq.insert(d, false).expect("eviction");
         let ev_b = bat.insert(d, false).expect("eviction");

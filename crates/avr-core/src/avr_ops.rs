@@ -20,7 +20,7 @@
 
 use avr_cache::cmt::{CmtCache, CmtTable, CMT_MISS_BYTES};
 use avr_cache::dbuf::Dbuf;
-use avr_cache::llc::{AvrLlc, EvictList, Evicted};
+use avr_cache::llc::{AvrLlc, Evicted};
 use avr_cache::pfe::PrefetchEngine;
 use avr_compress::{Compressor, Thresholds};
 use avr_dram::AccessKind;
@@ -42,8 +42,9 @@ pub struct DecoupledPolicy {
     cmt_cache: CmtCache,
     dbuf: Dbuf,
     pfe: PrefetchEngine,
-    /// Reusable eviction work queue (capacity retained across requests so
-    /// the steady-state eviction machine never allocates).
+    /// Reusable eviction work queue: LLC operations append what they
+    /// displace here, and the eviction machine drains it (capacity retained
+    /// across requests so the steady-state path never allocates).
     evict_queue: Vec<Evicted>,
 }
 
@@ -84,8 +85,7 @@ impl DecoupledPolicy {
         if sys.cfg.avr.enable_dbuf && self.dbuf.request(line) {
             sys.counters.approx_requests.dbuf_hit += 1;
             // "the UCL is also written from DBUF to the LLC".
-            let evs = self.llc.insert_ucl(line, false);
-            self.handle_avr_evictions(sys, evs, t);
+            self.insert_ucl(sys, line, false, t);
             return t + llc_lat;
         }
 
@@ -104,8 +104,7 @@ impl DecoupledPolicy {
             sys.counters.compressed_hit_cycles_sum += lat;
             sys.counters.blocks_decompressed += 1;
             self.load_dbuf(sys, block, line, t);
-            let evs = self.llc.insert_ucl(line, false);
-            self.handle_avr_evictions(sys, evs, t + lat);
+            self.insert_ucl(sys, line, false, t + lat);
             return t + lat;
         }
 
@@ -120,8 +119,7 @@ impl DecoupledPolicy {
             let resp = sys.dram.access(line, AccessKind::Read, t + llc_lat);
             sys.count_traffic(true, false, CL_BYTES as u64);
             sys.device_line_faults(line, AccessKind::Read, resp.complete_at);
-            let evs = self.llc.insert_ucl(line, false);
-            self.handle_avr_evictions(sys, evs, resp.complete_at);
+            self.insert_ucl(sys, line, false, resp.complete_at);
             return resp.complete_at;
         }
 
@@ -171,8 +169,7 @@ impl DecoupledPolicy {
                     e.record_attempt(true);
                     if sys.cfg.avr.store_cms_in_llc {
                         // Dirty: memory's image is stale until written back.
-                        let evs = self.llc.insert_cms(block, size, true);
-                        self.handle_avr_evictions(sys, evs, completion);
+                        self.insert_cms(sys, block, size, true, completion);
                         sys.llc_line_touches += size as u64;
                     } else {
                         // Without LLC co-location the recompacted image goes
@@ -216,14 +213,12 @@ impl DecoupledPolicy {
             }
         } else if sys.cfg.avr.store_cms_in_llc {
             // Store the compressed image in the LLC as-is (clean).
-            let evs = self.llc.insert_cms(block, entry.size_lines, false);
-            self.handle_avr_evictions(sys, evs, completion);
+            self.insert_cms(sys, block, entry.size_lines, false, completion);
             sys.llc_line_touches += entry.size_lines as u64;
         }
 
         self.load_dbuf(sys, block, line, completion);
-        let evs = self.llc.insert_ucl(line, false);
-        self.handle_avr_evictions(sys, evs, completion);
+        self.insert_ucl(sys, line, false, completion);
         completion
     }
 
@@ -242,8 +237,7 @@ impl DecoupledPolicy {
             for cl in save.iter() {
                 let l = ev.block.line(cl as usize);
                 if !self.llc.probe_ucl(l) {
-                    let evs = self.llc.insert_ucl(l, false);
-                    self.handle_avr_evictions(sys, evs, now);
+                    self.insert_ucl(sys, l, false, now);
                     sys.llc_line_touches += 1;
                 }
             }
@@ -254,20 +248,31 @@ impl DecoupledPolicy {
     // Fig. 8: LLC evictions
     // ------------------------------------------------------------------
 
-    /// Run the eviction state machine over everything the LLC pushed out.
-    /// Evictions are write-buffered: they cost traffic and events but do
-    /// not extend the triggering request's latency.
-    ///
-    /// The work queue is owned by the policy and reused across calls
-    /// (recompressions enqueue follow-on evictions), so the steady-state
-    /// path performs no allocation.
-    fn handle_avr_evictions(&mut self, sys: &mut System, evs: EvictList, now: u64) {
-        if evs.is_empty() {
+    /// Insert a UCL into the LLC and run the eviction machine over what it
+    /// displaced.
+    fn insert_ucl(&mut self, sys: &mut System, line: LineAddr, dirty: bool, now: u64) {
+        self.llc.insert_ucl(line, dirty, &mut self.evict_queue);
+        self.handle_avr_evictions(sys, now);
+    }
+
+    /// Install `block`'s compressed image in the LLC and run the eviction
+    /// machine over what it displaced.
+    fn insert_cms(&mut self, sys: &mut System, block: BlockAddr, size: u8, dirty: bool, now: u64) {
+        self.llc.insert_cms(block, size, dirty, &mut self.evict_queue);
+        self.handle_avr_evictions(sys, now);
+    }
+
+    /// Run the eviction state machine over everything the last LLC
+    /// operation appended to `evict_queue`, then empty it. Evictions are
+    /// write-buffered: they cost traffic and events but do not extend the
+    /// triggering request's latency. Recompressions append their own
+    /// displacements to the same work list, behind the events still
+    /// pending.
+    fn handle_avr_evictions(&mut self, sys: &mut System, now: u64) {
+        if self.evict_queue.is_empty() {
             return;
         }
         let mut work = std::mem::take(&mut self.evict_queue);
-        work.clear();
-        work.extend(evs);
         let mut next = 0;
         while next < work.len() {
             let ev = work[next];
@@ -294,6 +299,7 @@ impl DecoupledPolicy {
                 }
             }
         }
+        work.clear();
         self.evict_queue = work;
     }
 
@@ -318,8 +324,7 @@ impl DecoupledPolicy {
                 sys.mem.write_block(block, &o.reconstructed);
                 let size = o.compressed.size_lines() as u8;
                 debug_assert!(sys.cfg.avr.store_cms_in_llc, "CMS hit implies co-location");
-                let evs = self.llc.insert_cms(block, size, true);
-                work.extend(evs);
+                self.llc.insert_cms(block, size, true, work);
                 // The block's other dirty UCLs folded into the dirty image
                 // ("Overlay Dirty UCLs", Fig. 8): they are clean now.
                 self.llc.clean_ucls_of(block);
@@ -450,16 +455,11 @@ impl DecoupledPolicy {
         self.cmt_touch(sys, block);
         sys.counters.blocks_decompressed += 1;
         sys.llc_line_touches += size_lines as u64;
-        if !self.compress_to_memory(sys, block, dt, now) {
-            // Failed after the update: the block was written back
-            // uncompressed by compress_to_memory's failure path only if it
-            // was previously compressed — it was (an image existed).
-        }
+        // On failure compress_to_memory already wrote the block back
+        // uncompressed (it was compressed: an image existed). Either way a
+        // DBUF copy of the block stays valid, its values are current.
+        self.compress_to_memory(sys, block, dt, now);
         self.llc.clean_ucls_of(block);
-        if matches!(self.kind, DesignKind::Avr) && self.dbuf.current() == Some(block) {
-            // The buffered decompressed copy served stale data fine (values
-            // identical), keep it: requests continue to hit.
-        }
     }
 }
 
@@ -485,8 +485,7 @@ impl DesignPolicy for DecoupledPolicy {
                 let resp = sys.dram.access(line, AccessKind::Read, t + llc_lat);
                 sys.count_traffic(false, false, CL_BYTES as u64);
                 sys.device_line_faults(line, AccessKind::Read, resp.complete_at);
-                let evs = self.llc.insert_ucl(line, false);
-                self.handle_avr_evictions(sys, evs, resp.complete_at);
+                self.insert_ucl(sys, line, false, resp.complete_at);
                 resp.complete_at
             }
             Some(dt) => self.avr_request(sys, line, dt, t),
@@ -499,8 +498,7 @@ impl DesignPolicy for DecoupledPolicy {
         if self.llc.probe_ucl(line) {
             self.llc.access_ucl(line, true);
         } else {
-            let evs = self.llc.insert_ucl(line, true);
-            self.handle_avr_evictions(sys, evs, now);
+            self.insert_ucl(sys, line, true, now);
         }
     }
 

@@ -12,7 +12,7 @@
 
 use avr::arch::{DesignKind, System as AvrSystem, SystemConfig, Vm};
 use avr::cache::cmt::{CmtCache, CmtTable};
-use avr::cache::llc::AvrLlc;
+use avr::cache::llc::{AvrLlc, Evicted};
 use avr::compress::{Compressor, Thresholds};
 use avr::types::{BlockAddr, BlockData, CacheGeometry, DataType, PhysAddr};
 use avr_bench::codec_kernels::{noise_block, smooth_block, spiky_block};
@@ -99,17 +99,21 @@ fn steady_state_hot_paths_do_not_allocate() {
     // ------------------------------------------------------------------
     // Decoupled LLC: hits, inserts, evictions, mask queries.
     // ------------------------------------------------------------------
+    // The caller's eviction queue is reused, as the eviction machine's is:
+    // the LLC appends into it and never allocates on its own.
     let mut llc = AvrLlc::new(CacheGeometry { capacity: 64 * 4 * 64, ways: 4, latency: 15 });
-    let exercise = |llc: &mut AvrLlc| {
+    let mut queue: Vec<Evicted> = Vec::with_capacity(256);
+    let mut exercise = |llc: &mut AvrLlc| {
         for k in 0..96u64 {
             let b = BlockAddr(k * 3);
-            let _ = llc.insert_ucl(b.line((k % 16) as usize), k % 2 == 0);
-            let _ = llc.insert_cms(BlockAddr(k), 1 + (k % 8) as u8, k % 3 == 0);
+            queue.clear();
+            llc.insert_ucl(b.line((k % 16) as usize), k % 2 == 0, &mut queue);
+            llc.insert_cms(BlockAddr(k), 1 + (k % 8) as u8, k % 3 == 0, &mut queue);
             llc.access_ucl(b.line((k % 16) as usize), false);
             let _ = llc.ucls_of(b);
             let _ = llc.dirty_ucls_of(b);
             if k % 7 == 0 {
-                let _ = llc.evict_block(BlockAddr(k / 2));
+                llc.evict_block(BlockAddr(k / 2), &mut queue);
             }
             if k % 5 == 0 {
                 let _ = llc.remove_cms(BlockAddr(k));
