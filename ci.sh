@@ -37,7 +37,7 @@
 #                         cell to a direct run), plus the sweep_server
 #                         binary driven over a real socket
 #   ./ci.sh perf          bench smoke: bench_e2e --smoke gated against the
-#                         committed BENCH_PR14.json + codec kernel smoke +
+#                         committed BENCH_PR15.json + codec kernel smoke +
 #                         every table/figure and the ablation at tiny scale
 #   ./ci.sh quick         fast local pre-commit check (lint + release tests)
 #
@@ -196,14 +196,15 @@ PYEOF
 }
 
 perf() {
-    echo "==> perf smoke: end-to-end blocks/s vs committed BENCH_PR14.json"
+    echo "==> perf smoke: end-to-end blocks/s vs committed BENCH_PR15.json"
     # Fails when any workload's blocks/s regresses > 25 % against the
     # committed trajectory baseline (median-calibrated: uniform machine
     # speed cancels), and hard-fails on workload/backend/layout/design
     # set drift; the JSON is uploaded as a CI artifact. The baseline is
-    # BENCH_PR14.json — the trajectory recorded after the cache metadata
-    # went struct-of-arrays (AVR LLC, L1/L2) and the CMT cache's eviction
-    # went O(1), with the per-design section (the full
+    # BENCH_PR15.json — the trajectory recorded after every cache and
+    # table lookup on the dedup and memo paths became one pass (one-probe
+    # L1/L2/LLC fills, the memoin mean screen, dganger's multiply-xor
+    # hash), with the per-design section (the full
     # `DesignKind::ALL` set including the memoization family) alongside
     # the ten-workload suite, the per-backend and per-layout sections and
     # the sweep-server loopback record, so the smoke gate exercises every
@@ -211,7 +212,7 @@ perf() {
     # runner the gate also fails if the pooled Table 4 sweep is slower
     # than single-thread (the ROADMAP re-gate rule applies).
     cargo run --release -p avr-bench --bin bench_e2e -- \
-        --smoke --check BENCH_PR14.json --out bench-e2e-smoke.json
+        --smoke --check BENCH_PR15.json --out bench-e2e-smoke.json
 
     echo "==> codec kernel smoke (reference vs fused, shrunk measurement)"
     AVR_BENCH_FAST=1 cargo run --release -p avr-bench --bin bench_codec -- /tmp/bench_smoke.json

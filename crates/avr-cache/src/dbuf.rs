@@ -30,11 +30,6 @@ impl Dbuf {
         Dbuf::default()
     }
 
-    /// The currently buffered block, if any.
-    pub fn current(&self) -> Option<BlockAddr> {
-        self.block
-    }
-
     /// Bitmask of lines requested from the current block.
     pub fn requested_mask(&self) -> u16 {
         self.requested_mask
@@ -136,7 +131,7 @@ mod tests {
         d.load(BlockAddr(5), Some(1));
         let ev = d.invalidate().unwrap();
         assert_eq!(ev.block, BlockAddr(5));
-        assert_eq!(d.current(), None);
         assert!(!d.request(BlockAddr(5).line(1)));
+        assert_eq!(d.invalidate(), None, "the buffer is empty");
     }
 }

@@ -23,4 +23,4 @@ pub use cmt::{CmtCache, CmtEntry, CmtTable};
 pub use dbuf::Dbuf;
 pub use llc::{AvrLlc, ClMask, Evicted};
 pub use pfe::PrefetchEngine;
-pub use set_assoc::{CacheStats, Eviction, SetAssocCache};
+pub use set_assoc::{CacheStats, Eviction, Lookup, SetAssocCache, Victim};

@@ -65,7 +65,7 @@
 //!    hard-fails on design-set drift by design).
 
 use avr_baselines::truncate::{truncate_line, TRUNCATED_LINE_BYTES};
-use avr_cache::set_assoc::SetAssocCache;
+use avr_cache::set_assoc::{Lookup, SetAssocCache};
 use avr_dram::AccessKind;
 use avr_sim::vm::Region;
 use avr_types::{DesignKind, LineAddr, SystemConfig, CL_BYTES};
@@ -192,12 +192,12 @@ impl DesignPolicy for ConventionalPolicy {
     fn request(&mut self, sys: &mut System, line: LineAddr, t: u64) -> u64 {
         let llc_lat = sys.cfg.llc.latency;
         let approx = sys.approx_of(line);
-        if self.llc.access(line, false) {
+        let Lookup::Miss(victim) = self.llc.access(line, false) else {
             if approx.is_some() {
                 sys.counters.approx_requests.uncompressed_hit += 1;
             }
             return t + llc_lat;
-        }
+        };
         // Miss: fetch from DRAM.
         sys.counters.llc_misses_total += 1;
         if approx.is_some() {
@@ -215,7 +215,7 @@ impl DesignPolicy for ConventionalPolicy {
             sys.mem.write_line(line, &truncated);
         }
         sys.device_line_faults(line, AccessKind::Read, resp.complete_at);
-        if let Some(ev) = self.llc.insert(line, false) {
+        if let Some(ev) = self.llc.fill(victim, line, false) {
             if ev.dirty {
                 self.write_line(sys, ev.line, resp.complete_at);
             }
@@ -224,9 +224,7 @@ impl DesignPolicy for ConventionalPolicy {
     }
 
     fn writeback(&mut self, sys: &mut System, line: LineAddr, now: u64) {
-        if self.llc.contains(line) {
-            self.llc.access(line, true);
-        } else if let Some(ev) = self.llc.insert(line, true) {
+        if let Some(ev) = self.llc.writeback(line) {
             if ev.dirty {
                 self.write_line(sys, ev.line, now);
             }
@@ -267,10 +265,10 @@ impl DedupPolicy {
         &self.llc
     }
 
-    /// Insert `line` with its current backing-store values, feed a dedup
-    /// mapping back into the store (destructive dedup: readers observe the
-    /// representative from now on), and write back the dirty lines the
-    /// insert evicted, in the order the LLC reports them.
+    /// Insert `line`, which just missed, with its current backing-store
+    /// values, feed a dedup mapping back into the store (destructive dedup:
+    /// readers observe the representative from now on), and write back the
+    /// dirty lines the insert evicted, in the order the LLC reports them.
     fn fill(&mut self, sys: &mut System, line: LineAddr, approx: bool, dirty: bool, now: u64) {
         let values = sys.mem.read_line(line);
         let out = self.llc.insert(line, &values, approx, dirty);
@@ -317,9 +315,7 @@ impl DesignPolicy for DedupPolicy {
     }
 
     fn writeback(&mut self, sys: &mut System, line: LineAddr, now: u64) {
-        if self.llc.contains(line) {
-            self.llc.access(line, true);
-        } else {
+        if !self.llc.access(line, true) {
             let approx = sys.approx_of(line).is_some();
             self.fill(sys, line, approx, true, now);
         }

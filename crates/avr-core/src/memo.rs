@@ -32,7 +32,7 @@
 //! nothing: the fingerprint table is reserved at construction and the
 //! per-line state at `on_region` time (`tests/zero_alloc.rs`).
 
-use avr_cache::set_assoc::SetAssocCache;
+use avr_cache::set_assoc::{Lookup, SetAssocCache};
 use avr_dram::AccessKind;
 use avr_sim::vm::Region;
 use avr_types::{CacheLine, DataType, DesignKind, LineAddr, MemoParams, SystemConfig, CL_BYTES};
@@ -84,13 +84,14 @@ fn line_close(a: &CacheLine, b: &CacheLine, dt: DataType, threshold: f64) -> boo
     })
 }
 
-/// Memoizability of `line` under `sys`: its (region index, line index
-/// within region, value type), or `None` for precise lines and for lines
-/// carrying critical words (which must never see memo error).
-fn memo_dt(sys: &System, line: LineAddr) -> Option<(usize, usize, DataType)> {
-    let dt = sys.approx_of(line)?;
-    let ri = sys.space.approx_region_index_of_line(line)?;
-    let region = sys.space.regions()[ri];
+/// Memoizability of `line`, whose approx region under `sys` is `ri`
+/// ([`System::approx_region_of`]): its (region index, line index within
+/// region, value type), or `None` for precise lines and for lines carrying
+/// critical words (which must never see memo error).
+fn memo_dt(sys: &System, ri: Option<usize>, line: LineAddr) -> Option<(usize, usize, DataType)> {
+    let ri = ri?;
+    let region = &sys.space.regions()[ri];
+    let dt = region.approx?;
     if region.critical_mask_of_line(line) != 0 {
         return None;
     }
@@ -113,12 +114,26 @@ fn region_lines(region: &Region) -> usize {
 // MemoIn: content-fingerprint input memoization
 // ----------------------------------------------------------------------
 
-/// One canonical entry of the fingerprint table.
+/// One canonical entry of the fingerprint table (its mean lives in
+/// [`MemoInPolicy::means`]).
 struct MemoSlot {
     words: CacheLine,
     dt: DataType,
-    mean: f64,
 }
+
+/// `|mean - m| <= thr * SCREEN_MARGIN * max(|m|, 1e-6)` holds whenever
+/// `rel(mean, m) <= thr` does. `rel` rounds once (the quotient) and the
+/// screen twice (the two products), each by at most 2^-53 relative, so
+/// `rel <= thr` gives `|mean - m| <= thr * max(|m|, 1e-6) / (1 - 2^-53)`
+/// while the screen's bound is at least
+/// `thr * max(|m|, 1e-6) * (1 + 2^-50) * (1 - 2^-53)^2`, which is larger.
+/// Both sides subtract the same operands, and the products stay normal
+/// for thresholds of at least [`SCREEN_MIN_THRESHOLD`].
+const SCREEN_MARGIN: f64 = 1.0 + 4.0 * f64::EPSILON;
+
+/// Below this match threshold the screen's products could be subnormal, so
+/// [`MemoInPolicy`] screens nothing out and every slot gets the exact test.
+const SCREEN_MIN_THRESHOLD: f64 = 1e-300;
 
 /// `MemoIn`: conventional LLC + a controller-side content-fingerprint
 /// table (see the module docs).
@@ -128,6 +143,12 @@ pub struct MemoInPolicy {
     /// Canonical entries, FCFS, never evicted; reserved at construction
     /// so steady state never reallocates.
     slots: Vec<MemoSlot>,
+    /// Each slot's line mean, parallel to `slots`: the dense column
+    /// [`Self::find_match`] screens before any exact test.
+    means: Vec<f64>,
+    /// The match threshold widened by [`SCREEN_MARGIN`] (infinite below
+    /// [`SCREEN_MIN_THRESHOLD`]): the screen's multiplier.
+    screen: f64,
     /// Per region: per-line canonical mapping (`slot index + 1`; 0 = the
     /// line is stored exactly). Parallel to `space.regions()`.
     line_map: Vec<Vec<u16>>,
@@ -141,6 +162,12 @@ impl MemoInPolicy {
             llc: SetAssocCache::new(cfg.llc),
             params: cfg.memo,
             slots: Vec::with_capacity(cap),
+            means: Vec::with_capacity(cap),
+            screen: if cfg.memo.match_threshold >= SCREEN_MIN_THRESHOLD {
+                cfg.memo.match_threshold * SCREEN_MARGIN
+            } else {
+                f64::INFINITY
+            },
             line_map: Vec::new(),
         }
     }
@@ -151,20 +178,41 @@ impl MemoInPolicy {
     }
 
     /// First canonical entry matching `data` under the relative-error
-    /// threshold (linear scan: first match wins, deterministic).
+    /// threshold, in slot order (first match wins, deterministic). A
+    /// division-free screen over the dense `means` column passes every slot
+    /// whose mean could match (see [`SCREEN_MARGIN`]); only those take the
+    /// exact mean and per-value tests. The screen runs 64 slots at a time
+    /// into a bitmask, a loop without early exits that the compiler
+    /// vectorizes, and the survivors are then tested in slot order.
     fn find_match(&self, data: &CacheLine, dt: DataType) -> Option<usize> {
         let mean = finite_mean(data, dt)?;
         let thr = self.params.match_threshold;
-        self.slots.iter().position(|s| {
-            s.dt == dt && rel(mean, s.mean) <= thr && line_close(data, &s.words, dt, thr)
-        })
+        let screen = self.screen;
+        for (c, means) in self.means.chunks(64).enumerate() {
+            let mut survivors = 0u64;
+            for (j, &m) in means.iter().enumerate() {
+                survivors |= u64::from((mean - m).abs() <= screen * m.abs().max(1e-6)) << j;
+            }
+            while survivors != 0 {
+                let i = c * 64 + survivors.trailing_zeros() as usize;
+                let s = &self.slots[i];
+                if s.dt == dt
+                    && rel(mean, self.means[i]) <= thr
+                    && line_close(data, &s.words, dt, thr)
+                {
+                    return Some(i);
+                }
+                survivors &= survivors - 1;
+            }
+        }
+        None
     }
 
     /// Commit a dirty line leaving the LLC: match against the table
     /// (reference-only store), or commit exactly and maybe seed a new
     /// canonical entry.
     fn commit_line(&mut self, sys: &mut System, line: LineAddr, now: u64) {
-        let Some((ri, li, dt)) = memo_dt(sys, line) else {
+        let Some((ri, li, dt)) = memo_dt(sys, sys.approx_region_of(line), line) else {
             sys.dram_write_line(line, now);
             return;
         };
@@ -189,7 +237,8 @@ impl MemoInPolicy {
             let words = sys.mem.read_line(line);
             if let Some(mean) = finite_mean(&words, dt) {
                 sys.counters.memo.in_inserts += 1;
-                self.slots.push(MemoSlot { words, dt, mean });
+                self.slots.push(MemoSlot { words, dt });
+                self.means.push(mean);
                 self.line_map[ri][li] = self.slots.len() as u16;
             }
         }
@@ -207,18 +256,19 @@ impl DesignPolicy for MemoInPolicy {
 
     fn request(&mut self, sys: &mut System, line: LineAddr, t: u64) -> u64 {
         let llc_lat = sys.cfg.llc.latency;
-        let approx = sys.approx_of(line);
-        if self.llc.access(line, false) {
-            if approx.is_some() {
+        let region = sys.approx_region_of(line);
+        let approx = region.is_some();
+        let Lookup::Miss(victim) = self.llc.access(line, false) else {
+            if approx {
                 sys.counters.approx_requests.uncompressed_hit += 1;
             }
             return t + llc_lat;
-        }
+        };
         sys.counters.llc_misses_total += 1;
-        if approx.is_some() {
+        if approx {
             sys.counters.approx_requests.miss += 1;
         }
-        let served = memo_dt(sys, line).is_some_and(|(ri, li, _)| self.mapped(ri, li));
+        let served = memo_dt(sys, region, line).is_some_and(|(ri, li, _)| self.mapped(ri, li));
         let completion = if served {
             // The line is stored as a table reference: serve the canonical
             // content from the controller, no DRAM data transfer. The
@@ -229,11 +279,11 @@ impl DesignPolicy for MemoInPolicy {
             t + llc_lat + MEMO_SERVE_LAT
         } else {
             let resp = sys.dram.access(line, AccessKind::Read, t + llc_lat);
-            sys.count_traffic(approx.is_some(), false, CL_BYTES as u64);
+            sys.count_traffic(approx, false, CL_BYTES as u64);
             sys.device_line_faults(line, AccessKind::Read, resp.complete_at);
             resp.complete_at
         };
-        if let Some(ev) = self.llc.insert(line, false) {
+        if let Some(ev) = self.llc.fill(victim, line, false) {
             if ev.dirty {
                 self.commit_line(sys, ev.line, completion);
             }
@@ -242,9 +292,7 @@ impl DesignPolicy for MemoInPolicy {
     }
 
     fn writeback(&mut self, sys: &mut System, line: LineAddr, now: u64) {
-        if self.llc.contains(line) {
-            self.llc.access(line, true);
-        } else if let Some(ev) = self.llc.insert(line, true) {
+        if let Some(ev) = self.llc.writeback(line) {
             if ev.dirty {
                 self.commit_line(sys, ev.line, now);
             }
@@ -313,7 +361,7 @@ impl MemoOutPolicy {
     /// window, elide the writeback if the line is temporally stable,
     /// otherwise commit exactly and refresh the shadow.
     fn commit_line(&mut self, sys: &mut System, line: LineAddr, now: u64) {
-        let Some((ri, li, dt)) = memo_dt(sys, line) else {
+        let Some((ri, li, dt)) = memo_dt(sys, sys.approx_region_of(line), line) else {
             sys.dram_write_line(line, now);
             return;
         };
@@ -374,12 +422,12 @@ impl DesignPolicy for MemoOutPolicy {
     fn request(&mut self, sys: &mut System, line: LineAddr, t: u64) -> u64 {
         let llc_lat = sys.cfg.llc.latency;
         let approx = sys.approx_of(line);
-        if self.llc.access(line, false) {
+        let Lookup::Miss(victim) = self.llc.access(line, false) else {
             if approx.is_some() {
                 sys.counters.approx_requests.uncompressed_hit += 1;
             }
             return t + llc_lat;
-        }
+        };
         sys.counters.llc_misses_total += 1;
         if approx.is_some() {
             sys.counters.approx_requests.miss += 1;
@@ -387,7 +435,7 @@ impl DesignPolicy for MemoOutPolicy {
         let resp = sys.dram.access(line, AccessKind::Read, t + llc_lat);
         sys.count_traffic(approx.is_some(), false, CL_BYTES as u64);
         sys.device_line_faults(line, AccessKind::Read, resp.complete_at);
-        if let Some(ev) = self.llc.insert(line, false) {
+        if let Some(ev) = self.llc.fill(victim, line, false) {
             if ev.dirty {
                 self.commit_line(sys, ev.line, resp.complete_at);
             }
@@ -396,9 +444,7 @@ impl DesignPolicy for MemoOutPolicy {
     }
 
     fn writeback(&mut self, sys: &mut System, line: LineAddr, now: u64) {
-        if self.llc.contains(line) {
-            self.llc.access(line, true);
-        } else if let Some(ev) = self.llc.insert(line, true) {
+        if let Some(ev) = self.llc.writeback(line) {
             if ev.dirty {
                 self.commit_line(sys, ev.line, now);
             }
@@ -411,5 +457,198 @@ impl DesignPolicy for MemoOutPolicy {
 
     fn as_any(&self) -> &dyn std::any::Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use avr_types::VALUES_PER_LINE;
+
+    /// `find_match` as it was before the mean screen: the exact tests on
+    /// every slot, in slot order. Kept only as the oracle for
+    /// [`screened_find_match_equals_the_linear_scan`].
+    fn linear_find_match(
+        table: &[(CacheLine, DataType, f64)],
+        data: &CacheLine,
+        dt: DataType,
+        thr: f64,
+    ) -> Option<usize> {
+        let mean = finite_mean(data, dt)?;
+        table.iter().position(|(words, sdt, m)| {
+            *sdt == dt && rel(mean, *m) <= thr && line_close(data, words, dt, thr)
+        })
+    }
+
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in [0, 1).
+    fn unit(rng: &mut u64) -> f64 {
+        (splitmix64(rng) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// The stored word nearest `v` in type `dt`.
+    fn encode(v: f64, dt: DataType) -> u32 {
+        match dt {
+            DataType::F32 => (v as f32).to_bits(),
+            DataType::Fixed32 => ((v * 65536.0).round() as i32) as u32,
+        }
+    }
+
+    fn constant(v: f64, dt: DataType) -> CacheLine {
+        CacheLine { words: [encode(v, dt); VALUES_PER_LINE] }
+    }
+
+    /// `x` moved by `k` ulps (toward +inf for positive `k`; `x > 0`).
+    fn ulps(x: f64, k: i64) -> f64 {
+        f64::from_bits((x.to_bits() as i64 + k) as u64)
+    }
+
+    /// A policy at threshold `thr` whose table holds `lines` with finite
+    /// means, seeded the way `commit_line` seeds it, plus the same table
+    /// for [`linear_find_match`].
+    fn table_at(
+        thr: f64,
+        lines: &[(CacheLine, DataType)],
+    ) -> (MemoInPolicy, Vec<(CacheLine, DataType, f64)>) {
+        let mut cfg = SystemConfig::tiny();
+        cfg.memo.match_threshold = thr;
+        let mut p = MemoInPolicy::new(&cfg);
+        let mut table = Vec::new();
+        for &(words, dt) in lines {
+            if let Some(mean) = finite_mean(&words, dt) {
+                p.slots.push(MemoSlot { words, dt });
+                p.means.push(mean);
+                table.push((words, dt, mean));
+            }
+        }
+        (p, table)
+    }
+
+    fn check(p: &MemoInPolicy, table: &[(CacheLine, DataType, f64)], probe: &CacheLine) -> bool {
+        let thr = p.params.match_threshold;
+        let mut matched = false;
+        for dt in [DataType::F32, DataType::Fixed32] {
+            let want = linear_find_match(table, probe, dt, thr);
+            assert_eq!(p.find_match(probe, dt), want, "thr {thr:e}, {dt:?}, probe {probe:?}");
+            matched |= want.is_some();
+        }
+        matched
+    }
+
+    /// The screened scan returns exactly the linear scan's slot: on seeded
+    /// random tables of both value types (many near-duplicate slots, so
+    /// the first of several matches must win), with probes near, on and
+    /// past the threshold, negative and sub-1e-6 means and non-finite
+    /// lines; and on constant lines whose relative distance is the
+    /// threshold to within three ulps either side.
+    #[test]
+    fn screened_find_match_equals_the_linear_scan() {
+        let dts = [DataType::F32, DataType::Fixed32];
+        let mut matches = 0;
+        for seed in 1..=24u64 {
+            let mut rng = seed.wrapping_mul(0x2545_F491_4F6C_DD1D);
+            let thr = [0.04, 0.01, 0.2, 1e-4][seed as usize % 4];
+            // Slot bases: a few magnitudes (1e-8 .. 1e4, so some means sit
+            // under the 1e-6 clamp), either sign, several slots per base.
+            let bases: Vec<f64> = (0..12)
+                .map(|_| {
+                    let mag = 10f64.powf(unit(&mut rng) * 12.0 - 8.0);
+                    if splitmix64(&mut rng) & 1 == 0 {
+                        mag
+                    } else {
+                        -mag
+                    }
+                })
+                .collect();
+            let line_near = |rng: &mut u64, base: f64, spread: f64, dt: DataType| {
+                let mut words = [0u32; VALUES_PER_LINE];
+                for w in words.iter_mut() {
+                    *w = encode(base * (1.0 + spread * (2.0 * unit(rng) - 1.0)), dt);
+                }
+                CacheLine { words }
+            };
+            let slots: Vec<(CacheLine, DataType)> = (0..256)
+                .map(|_| {
+                    let base = bases[splitmix64(&mut rng) as usize % bases.len()];
+                    let dt = dts[splitmix64(&mut rng) as usize % 2];
+                    let spread = thr * unit(&mut rng);
+                    (line_near(&mut rng, base, spread, dt), dt)
+                })
+                .collect();
+            let (p, table) = table_at(thr, &slots);
+            for _ in 0..300 {
+                let base = bases[splitmix64(&mut rng) as usize % bases.len()];
+                let dt = dts[splitmix64(&mut rng) as usize % 2];
+                // Spreads of 0 .. 2 * thr straddle the threshold.
+                let spread = 2.0 * thr * unit(&mut rng);
+                let mut probe = line_near(&mut rng, base, spread, dt);
+                match splitmix64(&mut rng) % 16 {
+                    0 => probe.words[3] = f32::NAN.to_bits(),
+                    1 => probe.words[9] = f32::NEG_INFINITY.to_bits(),
+                    _ => {}
+                }
+                matches += check(&p, &table, &probe) as u32;
+            }
+        }
+        assert!(matches > 100, "the random probes should match often, got {matches}");
+
+        // Threshold boundary: slot `w`, probe `v`, and thresholds at their
+        // exact relative distance and up to three ulps either side. About
+        // one random pair in twenty has `|v - w| > thr * max(|w|, 1e-6)`
+        // at `thr = rel(v, w)`: a screen without its margin fails there.
+        let mut rng = 0xB0DA_11E5u64;
+        let mut pairs = vec![
+            (100.0, 104.0),
+            (-37.5, -39.0),
+            (-37.5, -36.2),
+            (3.0, 2.88),
+            (1e-3, 1.05e-3),
+            (0.0, 4e-8),
+            (5e-7, 4.6e-7),
+            (-3e-7, 1e-8),
+            (65536.0 * 0.7, 65536.0 * 0.7 * 1.03),
+        ];
+        for _ in 0..300 {
+            let w = 2000.0 * unit(&mut rng) - 1000.0;
+            pairs.push((w, w * (0.7 + 0.6 * unit(&mut rng))));
+        }
+        let mut boundary_matches = 0;
+        for (w, v) in pairs {
+            for dt in dts {
+                let (slot, probe) = (constant(w, dt), constant(v, dt));
+                let (Some(mw), Some(mv)) = (finite_mean(&slot, dt), finite_mean(&probe, dt)) else {
+                    unreachable!()
+                };
+                let r = rel(mv, mw);
+                if r == 0.0 {
+                    continue;
+                }
+                for k in -3..=3 {
+                    let thr = ulps(r, k);
+                    // A decoy that never matches ahead of the slot, so the
+                    // index must be exact too.
+                    let (p, table) = table_at(thr, &[(constant(-w - 1.0, dt), dt), (slot, dt)]);
+                    boundary_matches += check(&p, &table, &probe) as u32;
+                }
+            }
+        }
+        assert!(boundary_matches > 1000, "exact-boundary thresholds must match");
+
+        // Thresholds the screen does not apply to: zero, subnormal,
+        // negative and NaN.
+        for thr in [0.0, 1e-310, -1.0, f64::NAN] {
+            for dt in dts {
+                let line = constant(7.25, dt);
+                let (p, table) = table_at(thr, &[(constant(7.0, dt), dt), (line, dt)]);
+                check(&p, &table, &line);
+            }
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! correct moment so approximation error feeds back into the running
 //! application.
 
-use avr_cache::set_assoc::SetAssocCache;
+use avr_cache::set_assoc::{Lookup, SetAssocCache, Victim};
 use avr_dram::{backend_for, AccessKind, DramBackend, FaultCtx};
 use avr_sim::energy::{EnergyEvents, EnergyModel};
 use avr_sim::vm::{AddressSpace, PhysMem, Region, RegionOpts};
@@ -160,6 +160,18 @@ impl System {
     pub(crate) fn approx_of(&self, line: LineAddr) -> Option<DataType> {
         if self.honor_approx {
             self.space.approx_of_line(line)
+        } else {
+            None
+        }
+    }
+
+    /// The index into `space.regions()` of the approx region holding
+    /// `line` under this design: the region whose value type
+    /// [`Self::approx_of`] reports, found by the same one scan.
+    #[inline]
+    pub(crate) fn approx_region_of(&self, line: LineAddr) -> Option<usize> {
+        if self.honor_approx {
+            self.space.approx_region_index_of_line(line)
         } else {
             None
         }
@@ -337,22 +349,32 @@ impl System {
             self.counters.loads += 1;
         }
 
-        let completion = if self.l1.access(line, is_write) {
-            self.counters.l1_hits += 1;
-            t0 + self.cfg.l1.latency
-        } else {
-            let t_l1 = t0 + self.cfg.l1.latency;
-            if self.l2.access(line, false) {
-                self.counters.l2_hits += 1;
-                let done = t_l1 + self.cfg.l2.latency;
-                self.fill_l1(line, is_write, done);
-                done
-            } else {
-                let t_l2 = t_l1 + self.cfg.l2.latency;
-                let done = self.llc_request(line, t_l2);
-                self.fill_l2(line, done);
-                self.fill_l1(line, is_write, done);
-                done
+        // Each level is probed once: a miss carries the set's victim to
+        // the fill. Nothing below a level touches its sets before the fill
+        // (the LLC designs never back-invalidate L1/L2), so the victims
+        // stay valid.
+        let completion = match self.l1.access(line, is_write) {
+            Lookup::Hit => {
+                self.counters.l1_hits += 1;
+                t0 + self.cfg.l1.latency
+            }
+            Lookup::Miss(l1_victim) => {
+                let t_l1 = t0 + self.cfg.l1.latency;
+                match self.l2.access(line, false) {
+                    Lookup::Hit => {
+                        self.counters.l2_hits += 1;
+                        let done = t_l1 + self.cfg.l2.latency;
+                        self.fill_l1(l1_victim, line, is_write, done);
+                        done
+                    }
+                    Lookup::Miss(l2_victim) => {
+                        let t_l2 = t_l1 + self.cfg.l2.latency;
+                        let done = self.llc_request(line, t_l2);
+                        self.fill_l2(l2_victim, line, done);
+                        self.fill_l1(l1_victim, line, is_write, done);
+                        done
+                    }
+                }
             }
         };
         self.core.complete_memory(t0, completion);
@@ -493,12 +515,12 @@ impl System {
         idx.windows(2).all(|w| w[1] >= w[0].saturating_add(LINE_ELEMS))
     }
 
-    fn fill_l1(&mut self, line: LineAddr, dirty: bool, now: u64) {
-        if let Some(ev) = self.l1.insert(line, dirty) {
+    fn fill_l1(&mut self, victim: Victim, line: LineAddr, dirty: bool, now: u64) {
+        if let Some(ev) = self.l1.fill(victim, line, dirty) {
             if ev.dirty {
                 // Write back into L2 (allocating): its victim cascades to
                 // the LLC off the critical path.
-                if let Some(ev2) = self.l2.insert(ev.line, true) {
+                if let Some(ev2) = self.l2.writeback(ev.line) {
                     if ev2.dirty {
                         self.llc_writeback(ev2.line, now);
                     }
@@ -507,8 +529,8 @@ impl System {
         }
     }
 
-    fn fill_l2(&mut self, line: LineAddr, now: u64) {
-        if let Some(ev) = self.l2.insert(line, false) {
+    fn fill_l2(&mut self, victim: Victim, line: LineAddr, now: u64) {
+        if let Some(ev) = self.l2.fill(victim, line, false) {
             if ev.dirty {
                 self.llc_writeback(ev.line, now);
             }

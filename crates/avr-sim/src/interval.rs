@@ -73,9 +73,14 @@ impl IntervalCore {
         self.hide_window
     }
 
+    /// Convert whole issue-width groups of backlog into cycles. A backlog
+    /// below the width divides to nothing, so the common one-slot step of
+    /// [`Self::issue_memory`] skips both divisions.
     fn drain_slots(&mut self) {
-        self.cycles += self.slot_backlog / self.issue_width;
-        self.slot_backlog %= self.issue_width;
+        if self.slot_backlog >= self.issue_width {
+            self.cycles += self.slot_backlog / self.issue_width;
+            self.slot_backlog %= self.issue_width;
+        }
     }
 
     /// Account `n` non-memory instructions.
