@@ -6,7 +6,9 @@
 #                         scalar-fallback tests + perf
 #   ./ci.sh lint          rustfmt + clippy -D warnings + cargo doc --no-deps
 #                         (rustdoc warnings denied: the redesigned public
-#                         bulk Vm API stays documented)
+#                         bulk Vm API stays documented), then rustfmt +
+#                         clippy -D warnings on the benchmark package
+#                         (avr_benchmark/, which --workspace skips)
 #   ./ci.sh test-debug    debug build + full test suite
 #   ./ci.sh test-release  release build + full test suite + the benchmark
 #                         package's unit tests (avr_benchmark/: its digest
@@ -37,7 +39,7 @@
 #                         cell to a direct run), plus the sweep_server
 #                         binary driven over a real socket
 #   ./ci.sh perf          bench smoke: bench_e2e --smoke gated against the
-#                         committed BENCH_PR15.json + codec kernel smoke +
+#                         committed BENCH_PR16.json + codec kernel smoke +
 #                         every table/figure and the ablation at tiny scale
 #   ./ci.sh quick         fast local pre-commit check (lint + release tests)
 #
@@ -76,6 +78,11 @@ lint() {
     # The bulk Vm API is the public workload-facing surface; broken intra-doc
     # links or undocumented public items fail the gate.
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
+    echo "==> cargo fmt --check + clippy -D warnings (benchmark package)"
+    # A package of its own (empty [workspace]), so --workspace skips it.
+    cargo fmt --check --manifest-path avr_benchmark/Cargo.toml
+    cargo clippy --offline --manifest-path avr_benchmark/Cargo.toml --all-targets -- -D warnings
 }
 
 test_debug() {
@@ -196,23 +203,22 @@ PYEOF
 }
 
 perf() {
-    echo "==> perf smoke: end-to-end blocks/s vs committed BENCH_PR15.json"
+    echo "==> perf smoke: end-to-end blocks/s vs committed BENCH_PR16.json"
     # Fails when any workload's blocks/s regresses > 25 % against the
     # committed trajectory baseline (median-calibrated: uniform machine
     # speed cancels), and hard-fails on workload/backend/layout/design
     # set drift; the JSON is uploaded as a CI artifact. The baseline is
-    # BENCH_PR15.json — the trajectory recorded after every cache and
-    # table lookup on the dedup and memo paths became one pass (one-probe
-    # L1/L2/LLC fills, the memoin mean screen, dganger's multiply-xor
-    # hash), with the per-design section (the full
-    # `DesignKind::ALL` set including the memoization family) alongside
-    # the ten-workload suite, the per-backend and per-layout sections and
-    # the sweep-server loopback record, so the smoke gate exercises every
-    # design's engine path on every run; on a multi-core
+    # BENCH_PR16.json — the trajectory recorded after the AVR path began
+    # doing its work once (the codec memo in `Compressor`, one-probe
+    # `AvrLlc` sets with tag back-pointers), with the per-design section
+    # (the full `DesignKind::ALL` set including the memoization family)
+    # alongside the ten-workload suite, the per-backend and per-layout
+    # sections and the sweep-server loopback record, so the smoke gate
+    # exercises every design's engine path on every run; on a multi-core
     # runner the gate also fails if the pooled Table 4 sweep is slower
     # than single-thread (the ROADMAP re-gate rule applies).
     cargo run --release -p avr-bench --bin bench_e2e -- \
-        --smoke --check BENCH_PR15.json --out bench-e2e-smoke.json
+        --smoke --check BENCH_PR16.json --out bench-e2e-smoke.json
 
     echo "==> codec kernel smoke (reference vs fused, shrunk measurement)"
     AVR_BENCH_FAST=1 cargo run --release -p avr-bench --bin bench_codec -- /tmp/bench_smoke.json

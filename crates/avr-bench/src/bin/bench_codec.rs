@@ -25,7 +25,7 @@
 
 use avr_bench::codec_kernels::{noise_block, smooth_block, spiky_block};
 use avr_compress::simd::{self, CodecKernels};
-use avr_compress::{choose_bias, compress_reference, Compressor, Thresholds};
+use avr_compress::{choose_bias, compress_reference, compress_with, CompressScratch, Thresholds};
 use avr_server::Json;
 use avr_types::{BlockData, DataType, VALUES_PER_BLOCK};
 use std::time::Instant;
@@ -63,11 +63,13 @@ fn median(mut samples: Vec<f64>) -> f64 {
 
 fn measure(kernel: &'static str, block: &BlockData, fast: bool) -> Measurement {
     let th = Thresholds::paper_default();
-    let mut comp = Compressor::new(th, 8);
+    // The fused kernel on reused scratch, as `Compressor` runs it, but
+    // without its memo: every call here repeats one input.
+    let mut scratch = CompressScratch::new();
     let (iters, samples, warmup) = if fast { (500u32, 11, 2_000u32) } else { (2_000, 41, 10_000) };
 
     let reference = || compress_reference(block, DataType::F32, &th, 8).is_ok();
-    let mut fused = || comp.compress(block, DataType::F32).is_ok();
+    let mut fused = || compress_with(&mut scratch, block, DataType::F32, &th, 8).is_ok();
     for _ in 0..warmup {
         std::hint::black_box(reference());
         std::hint::black_box(fused());
@@ -114,10 +116,12 @@ fn measure_codec_arms(kernels: &[(&'static str, BlockData)], fast: bool) -> Vec<
     for arm in simd::supported_arms() {
         assert!(simd::force_arm(Some(arm)));
         for (name, block) in kernels {
-            let mut comp = Compressor::new(th, 8);
+            let mut scratch = CompressScratch::new();
             let ns = time_ns(
                 || {
-                    std::hint::black_box(comp.compress(block, DataType::F32).is_ok());
+                    std::hint::black_box(
+                        compress_with(&mut scratch, block, DataType::F32, &th, 8).is_ok(),
+                    );
                 },
                 iters,
                 samples,

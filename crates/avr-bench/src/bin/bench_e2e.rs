@@ -1036,9 +1036,20 @@ mod tests {
     #[test]
     fn committed_e2e_baselines_give_their_smoke_workloads() {
         // particles joined the suite in PR 8.
-        for (pr, workloads) in
-            [(2, 9), (4, 9), (5, 9), (6, 9), (7, 9), (8, 10), (9, 10), (10, 10), (12, 10)]
-        {
+        for (pr, workloads) in [
+            (2, 9),
+            (4, 9),
+            (5, 9),
+            (6, 9),
+            (7, 9),
+            (8, 10),
+            (9, 10),
+            (10, 10),
+            (12, 10),
+            (14, 10),
+            (15, 10),
+            (16, 10),
+        ] {
             let b = Baseline::read(&committed(pr)).unwrap();
             assert_eq!(b.axes[0].len(), workloads, "BENCH_PR{pr}");
             assert!(b.axes[0].iter().all(|(_, bps)| *bps > 0.0), "BENCH_PR{pr}");

@@ -19,7 +19,7 @@
 
 use avr_types::{BlockAddr, CacheGeometry, LineAddr, LINES_PER_BLOCK};
 
-use crate::set_assoc::first_min;
+use crate::set_assoc::{first_min, probe_ways};
 
 /// An entity pushed out of the LLC.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -121,11 +121,20 @@ pub struct LlcStats {
 /// array keeps `block + 1` per way (0 = invalid), the data array (BPA) a
 /// packed `((block << 5) | kind) + 1`; lookups scan only those keys.
 /// Recency stamps sit in parallel arrays, 0 while a way is invalid and at
-/// least 1 once filled, so one first-minimum scan over a set's stamps picks
-/// the victim: the first free way, else the first least-recently-used one.
+/// least 1 once filled, so the first minimum of a set's stamps is its
+/// victim: the first free way, else the first least-recently-used one.
 /// Ways can tie only in the BPA (a UCL hit restamps the block's CMSs with
 /// the UCL's clock, and a UCL's set can be one of its CMS sets); the lower
 /// way goes first.
+///
+/// Each valid BPA entry also keeps the way of its block's tag (the
+/// hardware BPA's tag-way field), so a data way reaches its tag without
+/// scanning the tag set. Tags never move while they map a data way, which
+/// keeps the back-pointers valid.
+///
+/// A lookup that may allocate probes its set once: the same pass returns
+/// the hit or the set's victim ([`Self::insert_ucl`],
+/// [`Self::writeback_ucl`], and the tag set in `ensure_tag`).
 #[derive(Clone, Debug)]
 pub struct AvrLlc {
     sets: usize,
@@ -137,6 +146,9 @@ pub struct AvrLlc {
     bpa_keys: Vec<u64>,
     bpa_stamps: Vec<u64>,
     bpa_dirty: Vec<bool>,
+    /// Way of the entry's block tag within the block's tag set (valid
+    /// entries only).
+    bpa_tag_way: Vec<u8>,
     clock: u64,
     pub stats: LlcStats,
 }
@@ -145,6 +157,7 @@ impl AvrLlc {
     pub fn new(geom: CacheGeometry) -> Self {
         let sets = geom.sets();
         assert!(sets.is_power_of_two() && sets >= LINES_PER_BLOCK);
+        assert!(geom.ways <= 1 << u8::BITS, "tag ways must fit the BPA's u8 back-pointer");
         let n = sets * geom.ways;
         AvrLlc {
             sets,
@@ -156,6 +169,7 @@ impl AvrLlc {
             bpa_keys: vec![0; n],
             bpa_stamps: vec![0; n],
             bpa_dirty: vec![false; n],
+            bpa_tag_way: vec![0; n],
             clock: 0,
             stats: LlcStats::default(),
         }
@@ -192,9 +206,38 @@ impl AvrLlc {
         self.tag_keys[base..base + self.ways].iter().position(|&k| k == key).map(|w| base + w)
     }
 
+    /// One pass over `block`'s tag set: its tag slot, or else the set's
+    /// victim.
+    #[inline]
+    fn probe_tag(&self, block: BlockAddr) -> Result<usize, usize> {
+        let base = self.tag_index(block) * self.ways;
+        let end = base + self.ways;
+        probe_ways(&self.tag_keys[base..end], &self.tag_stamps[base..end], block.0 + 1)
+            .map(|w| base + w)
+            .map_err(|w| base + w)
+    }
+
     fn find_bpa(&self, set: usize, key: u64) -> Option<usize> {
         let base = set * self.ways;
         self.bpa_keys[base..base + self.ways].iter().position(|&k| k == key).map(|w| base + w)
+    }
+
+    /// One pass over BPA set `set`: the slot holding `key`, or else the
+    /// set's victim.
+    #[inline]
+    fn probe_bpa(&self, set: usize, key: u64) -> Result<usize, usize> {
+        let base = set * self.ways;
+        let end = base + self.ways;
+        probe_ways(&self.bpa_keys[base..end], &self.bpa_stamps[base..end], key)
+            .map(|w| base + w)
+            .map_err(|w| base + w)
+    }
+
+    /// The victim of BPA set `set`.
+    #[inline]
+    fn bpa_victim(&self, set: usize) -> usize {
+        let base = set * self.ways;
+        base + first_min(&self.bpa_stamps[base..base + self.ways])
     }
 
     #[inline]
@@ -205,6 +248,21 @@ impl AvrLlc {
     #[inline]
     fn find_cms(&self, block: BlockAddr, idx: u8) -> Option<usize> {
         self.find_bpa(self.cms_set(block, idx), cms_key(block, idx))
+    }
+
+    /// Tag slot of `block`, which valid BPA slot `i` belongs to, read
+    /// through the entry's back-pointer.
+    #[inline]
+    fn tag_of(&self, i: usize, block: BlockAddr) -> usize {
+        let t = self.tag_index(block) * self.ways + self.bpa_tag_way[i] as usize;
+        debug_assert_eq!(self.tag_keys[t], block.0 + 1, "stale back-pointer at BPA slot {i}");
+        t
+    }
+
+    /// Point BPA slot `i` at tag slot `t`, which holds `block`'s tag.
+    #[inline]
+    fn set_tag_way(&mut self, i: usize, t: usize, block: BlockAddr) {
+        self.bpa_tag_way[i] = (t - self.tag_index(block) * self.ways) as u8;
     }
 
     #[inline]
@@ -230,14 +288,14 @@ impl AvrLlc {
         }
     }
 
-    /// One UCL of `block` left: free its tag if the tag maps nothing else.
-    fn drop_ucl_from_tag(&mut self, block: BlockAddr) {
-        if let Some(t) = self.find_tag(block) {
-            let c = &mut self.tag_counts[t];
-            c.ucl_count -= 1;
-            if c.ucl_count == 0 && c.cms_count == 0 {
-                self.clear_tag(t);
-            }
+    /// One UCL of tag `t`'s block left: free the tag if it maps nothing
+    /// else.
+    #[inline]
+    fn release_ucl(&mut self, t: usize) {
+        let c = &mut self.tag_counts[t];
+        c.ucl_count -= 1;
+        if c.ucl_count == 0 && c.cms_count == 0 {
+            self.clear_tag(t);
         }
     }
 
@@ -266,19 +324,45 @@ impl AvrLlc {
             self.stats.misses += 1;
             return false;
         };
+        self.hit_ucl(i, line.block(), write, now);
+        true
+    }
+
+    /// A dirty line written back into the LLC, in one pass over its set. A
+    /// resident UCL takes exactly the hit of `access_ucl(line, true)`; a
+    /// missing one is allocated dirty exactly as `insert_ucl(line, true,
+    /// out)` allocates it (no miss is counted), appending what it displaced
+    /// to `out`. Returns whether the line was resident.
+    pub fn writeback_ucl(&mut self, line: LineAddr, out: &mut Vec<Evicted>) -> bool {
+        let block = line.block();
+        let key = bpa_key(block, line.cl_offset() as u8);
+        let set = self.ucl_index(line);
+        let now = self.tick();
+        match self.probe_bpa(set, key) {
+            Ok(i) => {
+                self.hit_ucl(i, block, true, now);
+                true
+            }
+            Err(victim) => {
+                self.fill_ucl(line, victim, true, now, out);
+                false
+            }
+        }
+    }
+
+    /// The UCL hit of [`Self::access_ucl`] on BPA slot `i`: restamp it, its
+    /// tag and its block's CMSs with `now`, and count the hit.
+    fn hit_ucl(&mut self, i: usize, block: BlockAddr, write: bool, now: u64) {
         self.bpa_stamps[i] = now;
         self.bpa_dirty[i] |= write;
-        let block = line.block();
-        if let Some(t) = self.find_tag(block) {
-            self.tag_stamps[t] = now;
-            for idx in 0..self.tag_counts[t].cms_count {
-                if let Some(c) = self.find_cms(block, idx) {
-                    self.bpa_stamps[c] = now;
-                }
+        let t = self.tag_of(i, block);
+        self.tag_stamps[t] = now;
+        for idx in 0..self.tag_counts[t].cms_count {
+            if let Some(c) = self.find_cms(block, idx) {
+                self.bpa_stamps[c] = now;
             }
         }
         self.stats.ucl_hits += 1;
-        true
     }
 
     /// Was the UCL dirty? (no LRU effect)
@@ -324,31 +408,36 @@ impl AvrLlc {
 
     /// Ensure a tag entry exists for `block`, evicting a victim block
     /// entirely if the tag set is full. Appends eviction events to `out`
-    /// and returns the tag slot.
-    fn ensure_tag(&mut self, block: BlockAddr, out: &mut Vec<Evicted>) -> usize {
+    /// and returns the tag slot, and whether a block was evicted (which
+    /// can free data ways in any set).
+    fn ensure_tag(&mut self, block: BlockAddr, out: &mut Vec<Evicted>) -> (usize, bool) {
         let now = self.tick();
-        if let Some(t) = self.find_tag(block) {
-            return t;
-        }
-        let base = self.tag_index(block) * self.ways;
-        let t = base + first_min(&self.tag_stamps[base..base + self.ways]);
-        if self.tag_keys[t] != 0 {
+        let t = match self.probe_tag(block) {
+            Ok(t) => return (t, false),
+            Err(victim) => victim,
+        };
+        let evicted = self.tag_keys[t] != 0;
+        if evicted {
             // Evict the LRU tag and everything it maps.
-            self.evict_block(BlockAddr(self.tag_keys[t] - 1), out);
+            self.evict_tag(t, BlockAddr(self.tag_keys[t] - 1), out);
             self.stats.tag_evictions += 1;
         }
         self.tag_keys[t] = block.0 + 1;
         self.tag_stamps[t] = now;
         self.tag_counts[t] = TagCounts::default();
-        t
+        (t, evicted)
     }
 
     /// Remove every trace of `block` (tag + all UCLs + CMS image),
     /// appending what fell out to `out`.
     pub fn evict_block(&mut self, block: BlockAddr, out: &mut Vec<Evicted>) {
-        let Some(t) = self.find_tag(block) else {
-            return;
-        };
+        if let Some(t) = self.find_tag(block) {
+            self.evict_tag(t, block, out);
+        }
+    }
+
+    /// [`Self::evict_block`] for `block`, whose tag is in slot `t`.
+    fn evict_tag(&mut self, t: usize, block: BlockAddr, out: &mut Vec<Evicted>) {
         // UCLs first.
         for cl in 0..LINES_PER_BLOCK {
             let line = block.line(cl);
@@ -366,24 +455,23 @@ impl AvrLlc {
         self.clear_tag(t);
     }
 
-    /// Pick a victim way in a BPA set (UCLs and CMSs compete equally by
-    /// LRU) and evict it. A CMS victim drags its whole compressed block out.
-    fn evict_for(&mut self, set: usize, out: &mut Vec<Evicted>) -> usize {
-        let base = set * self.ways;
-        let victim = base + first_min(&self.bpa_stamps[base..base + self.ways]);
+    /// Evict whatever BPA slot `victim` holds (UCLs and CMSs compete
+    /// equally by LRU). A CMS victim drags its whole compressed block out.
+    fn evict_way(&mut self, victim: usize, out: &mut Vec<Evicted>) {
         let key = self.bpa_keys[victim];
         if key == 0 {
-            return victim;
+            return;
         }
         let (block, kind) = unpack(key);
+        let t = self.tag_of(victim, block);
         if kind < CMS_KIND {
             out.push(Evicted::Ucl {
                 line: block.line(kind as usize),
                 dirty: self.bpa_dirty[victim],
             });
             self.clear_bpa(victim);
-            self.drop_ucl_from_tag(block);
-        } else if let Some(t) = self.find_tag(block) {
+            self.release_ucl(t);
+        } else {
             // Evicting one CMS evicts the whole compressed image; the tag
             // survives if it still maps UCLs (Fig. 8 / §3.4).
             let TagCounts { cms_count, ucl_count, block_dirty } = self.tag_counts[t];
@@ -394,12 +482,8 @@ impl AvrLlc {
             } else {
                 self.tag_counts[t] = TagCounts { ucl_count, ..TagCounts::default() };
             }
-        } else {
-            debug_assert!(false, "CMS entry without tag");
-            self.clear_bpa(victim);
         }
         debug_assert_eq!(self.bpa_keys[victim], 0);
-        victim
     }
 
     /// Insert (or refresh) a UCL, appending everything evicted to make room
@@ -409,29 +493,41 @@ impl AvrLlc {
         let key = bpa_key(block, line.cl_offset() as u8);
         let set = self.ucl_index(line);
         let now = self.tick();
-
-        if let Some(i) = self.find_bpa(set, key) {
-            self.bpa_stamps[i] = now;
-            self.bpa_dirty[i] |= dirty;
-            if let Some(t) = self.find_tag(block) {
+        match self.probe_bpa(set, key) {
+            Ok(i) => {
+                self.bpa_stamps[i] = now;
+                self.bpa_dirty[i] |= dirty;
+                let t = self.tag_of(i, block);
                 self.tag_stamps[t] = now;
             }
-            return;
+            Err(victim) => self.fill_ucl(line, victim, dirty, now, out),
         }
+    }
 
-        self.ensure_tag(block, out);
-        // The data-way eviction below may hit any entry — including this
-        // block's *own* CMS image (a UCL set can coincide with one of the
-        // block's CMS sets). Evicting that image with ucl_count still 0
-        // frees the tag we just installed, so re-ensure it afterwards.
-        let slot = self.evict_for(set, out);
-        self.bpa_keys[slot] = key;
+    /// Allocate the missing UCL `line`, whose set's victim was `victim`
+    /// when the set was probed.
+    fn fill_ucl(
+        &mut self,
+        line: LineAddr,
+        victim: usize,
+        dirty: bool,
+        now: u64,
+        out: &mut Vec<Evicted>,
+    ) {
+        let block = line.block();
+        let (t, evicted) = self.ensure_tag(block, out);
+        // Evicting a block for the tag may have freed ways of this set.
+        let slot = if evicted { self.bpa_victim(self.ucl_index(line)) } else { victim };
+        // The data-way eviction may hit any entry — including this block's
+        // *own* CMS image (a UCL set can coincide with one of the block's
+        // CMS sets). Evicting that image with ucl_count still 0 frees the
+        // tag we just installed, so re-ensure it afterwards.
+        self.evict_way(slot, out);
+        self.bpa_keys[slot] = bpa_key(block, line.cl_offset() as u8);
         self.bpa_stamps[slot] = now;
         self.bpa_dirty[slot] = dirty;
-        let t = match self.find_tag(block) {
-            Some(t) => t,
-            None => self.ensure_tag(block, out),
-        };
+        let t = if self.tag_keys[t] == block.0 + 1 { t } else { self.ensure_tag(block, out).0 };
+        self.set_tag_way(slot, t, block);
         self.tag_counts[t].ucl_count += 1;
         self.tag_stamps[t] = now;
     }
@@ -440,8 +536,9 @@ impl AvrLlc {
     pub fn invalidate_ucl(&mut self, line: LineAddr) -> Option<bool> {
         let i = self.find_ucl(line)?;
         let dirty = self.bpa_dirty[i];
+        let t = self.tag_of(i, line.block());
         self.clear_bpa(i);
-        self.drop_ucl_from_tag(line.block());
+        self.release_ucl(t);
         Some(dirty)
     }
 
@@ -456,25 +553,34 @@ impl AvrLlc {
         out: &mut Vec<Evicted>,
     ) {
         assert!(size_lines >= 1 && size_lines as usize <= LINES_PER_BLOCK);
-        let t = self.ensure_tag(block, out);
+        let (t, _) = self.ensure_tag(block, out);
 
         // Drop a stale image (recompression may change the size).
         self.clear_cms_image(block, self.tag_counts[t].cms_count);
 
         let now = self.tick();
+        let mut slots = [0usize; LINES_PER_BLOCK];
         for idx in 0..size_lines {
-            let slot = self.evict_for(self.cms_set(block, idx), out);
+            let slot = self.bpa_victim(self.cms_set(block, idx));
+            self.evict_way(slot, out);
             self.bpa_keys[slot] = cms_key(block, idx);
             self.bpa_stamps[slot] = now;
             self.bpa_dirty[slot] = false;
+            self.set_tag_way(slot, t, block);
+            slots[idx as usize] = slot;
         }
-        // `evict_for` cannot drop a freshly-inserted CMS of this block
-        // (consecutive sets are distinct for size <= 16 <= sets), but it
-        // *can* evict the block's last UCL, freeing the tag while
-        // cms_count is still 0 — re-ensure it.
-        let t = match self.find_tag(block) {
-            Some(t) => t,
-            None => self.ensure_tag(block, out),
+        // A data-way eviction cannot drop a freshly-inserted CMS of this
+        // block (consecutive sets are distinct for size <= 16 <= sets), but
+        // it *can* evict the block's last UCL, freeing the tag while
+        // cms_count is still 0 — re-ensure it, and repoint the image.
+        let t = if self.tag_keys[t] == block.0 + 1 {
+            t
+        } else {
+            let t = self.ensure_tag(block, out).0;
+            for &slot in &slots[..size_lines as usize] {
+                self.set_tag_way(slot, t, block);
+            }
+            t
         };
         self.tag_counts[t].cms_count = size_lines;
         self.tag_counts[t].block_dirty = dirty;
@@ -512,11 +618,11 @@ impl AvrLlc {
     }
 
     /// Internal consistency check: every BPA entry's block has a valid
-    /// tag, tag counts match the BPA contents, and invalid ways carry
-    /// stamp 0 and valid ways stamps >= 1 (what victim selection relies
-    /// on). The HashMap walk is compiled only under `debug_assertions`
-    /// (tests / debug builds) so release simulation loops that call it
-    /// defensively pay nothing.
+    /// tag and points at it, tag counts match the BPA contents, and
+    /// invalid ways carry stamp 0 and valid ways stamps >= 1 (what victim
+    /// selection relies on). The HashMap walk is compiled only under
+    /// `debug_assertions` (tests / debug builds) so release simulation
+    /// loops that call it defensively pay nothing.
     pub fn check_invariants(&self) {
         #[cfg(debug_assertions)]
         {
@@ -532,6 +638,13 @@ impl AvrLlc {
                 let (block, kind) = unpack(k);
                 let counts = if kind < CMS_KIND { &mut ucls } else { &mut cmss };
                 *counts.entry(block).or_default() += 1;
+                let t = self.tag_index(block) * self.ways + self.bpa_tag_way[i] as usize;
+                assert_eq!(
+                    self.tag_keys[t],
+                    block.0 + 1,
+                    "BPA slot {i}: tag way {} does not hold {block:?}'s tag",
+                    self.bpa_tag_way[i]
+                );
             }
             for (t, &k) in self.tag_keys.iter().enumerate() {
                 assert_eq!(k != 0, self.tag_stamps[t] != 0, "tag slot {t}: stamp vs validity");
@@ -550,9 +663,6 @@ impl AvrLlc {
                     cmss.get(&block).copied().unwrap_or(0),
                     "cms_count mismatch for {block:?}"
                 );
-            }
-            for b in ucls.keys().chain(cmss.keys()) {
-                assert!(self.find_tag(*b).is_some(), "orphan BPA entries for {b:?}");
             }
         }
     }
@@ -947,6 +1057,18 @@ mod tests {
                 }
             }
 
+            /// A dirty line written back, as the AVR policy did it before
+            /// [`AvrLlc::writeback_ucl`]: a presence probe, then a write
+            /// hit or a dirty insert.
+            pub fn writeback_ucl(&mut self, line: LineAddr, out: &mut Vec<Evicted>) -> bool {
+                if self.probe_ucl(line) {
+                    self.access_ucl(line, true)
+                } else {
+                    self.insert_ucl(line, true, out);
+                    false
+                }
+            }
+
             pub fn ucl_dirty(&self, line: LineAddr) -> Option<bool> {
                 self.find_bpa(
                     self.ucl_index(line),
@@ -1203,7 +1325,8 @@ mod tests {
     /// and the reference on a 16-set geometry, comparing after every op the
     /// eviction events in order, every return value, `stats`,
     /// `cms_fraction`, and the probes of every block the op touched or
-    /// evicted (all blocks every 250 ops). With `coincide`, UCL traffic
+    /// evicted (all blocks every 250 ops). Writebacks run against the
+    /// reference's probe followed by a write hit or a dirty insert. With `coincide`, UCL traffic
     /// goes to the sets of a block's first two CMSs (images are 2 or 3
     /// lines) and most lookups re-access a recently inserted UCL, so hits keep
     /// stamping a UCL and a CMS of one set with the same clock. Returns
@@ -1219,6 +1342,8 @@ mod tests {
         let (mut got, mut want) = (Vec::new(), Vec::new());
         let mut recent = [LineAddr(0); 8];
         let mut cms_evictions = 0;
+        // Writebacks that missed and that hit.
+        let mut writebacks = [0u32; 2];
         for op in 0..2000u64 {
             let r = splitmix64(&mut rng);
             // 250-op phases alternate between every tag set and two of them.
@@ -1251,8 +1376,13 @@ mod tests {
                     fast.insert_cms(block, size, flag, &mut got);
                     slow.insert_cms(block, size, flag, &mut want);
                 }
-                40..=69 => {
+                40..=59 => {
                     assert_eq!(fast.access_ucl(line, flag), slow.access_ucl(line, flag), "{ctx}");
+                }
+                60..=69 => {
+                    let hit = fast.writeback_ucl(line, &mut got);
+                    assert_eq!(hit, slow.writeback_ucl(line, &mut want), "{ctx}");
+                    writebacks[hit as usize] += 1;
                 }
                 70..=76 => {
                     fast.clean_ucls_of(block);
@@ -1295,6 +1425,7 @@ mod tests {
                 }
             }
         }
+        assert!(writebacks.iter().all(|&n| n > 0), "writeback misses/hits {writebacks:?}");
         (slow.tied_victims, fast.stats.tag_evictions, cms_evictions)
     }
 

@@ -90,6 +90,24 @@ pub(crate) fn first_min(stamps: &[u64]) -> usize {
     best
 }
 
+/// One pass over a set's `keys` and `stamps`: the way holding `key`, or
+/// else the set's victim — the way [`first_min`] picks over the stamps.
+#[inline]
+pub(crate) fn probe_ways(keys: &[u64], stamps: &[u64], key: u64) -> Result<usize, usize> {
+    let mut victim = 0;
+    let mut min = u64::MAX;
+    for (w, (&k, &s)) in keys.iter().zip(stamps).enumerate() {
+        if k == key {
+            return Ok(w);
+        }
+        if s < min {
+            min = s;
+            victim = w;
+        }
+    }
+    Err(victim)
+}
+
 impl SetAssocCache {
     pub fn new(geom: CacheGeometry) -> Self {
         let sets = geom.sets();
@@ -132,25 +150,15 @@ impl SetAssocCache {
     }
 
     /// One pass over `line`'s set: the slot holding it, or else the set's
-    /// victim — the same way [`first_min`] picks over the set's stamps.
+    /// victim.
     #[inline]
     fn probe(&self, line: LineAddr) -> Result<usize, Victim> {
-        let key = self.key_of(line);
         let base = self.set_of(line) * self.ways;
-        let keys = &self.keys[base..base + self.ways];
-        let stamps = &self.stamps[base..base + self.ways];
-        let mut victim = 0;
-        let mut min = u64::MAX;
-        for (w, (&k, &s)) in keys.iter().zip(stamps).enumerate() {
-            if k == key {
-                return Ok(base + w);
-            }
-            if s < min {
-                min = s;
-                victim = w;
-            }
+        let end = base + self.ways;
+        match probe_ways(&self.keys[base..end], &self.stamps[base..end], self.key_of(line)) {
+            Ok(w) => Ok(base + w),
+            Err(w) => Err(Victim(base + w)),
         }
-        Err(Victim(base + victim))
     }
 
     /// The line held by valid slot `slot` of set `set`.

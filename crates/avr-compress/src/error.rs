@@ -11,6 +11,7 @@
 //! For fixed point, a subtraction and comparison serve the same role
 //! (paper footnote 1).
 
+use avr_types::config::check_thresholds;
 use avr_types::DataType;
 
 /// The T1/T2 error thresholds, pre-lowered to hardware comparisons.
@@ -27,9 +28,12 @@ pub struct Thresholds {
 impl Thresholds {
     /// Build from T1/T2 fractions. `n_msbit` is the largest N with
     /// 1/2^N <= T1 so the hardware check is at least as strict as T1.
+    ///
+    /// Panics if [`check_thresholds`] rejects the pair.
     pub fn new(t1: f64, t2: f64) -> Self {
-        assert!(t1 > 0.0 && t1 < 1.0, "T1 must be in (0,1), got {t1}");
-        assert!(t2 > 0.0, "T2 must be positive");
+        if let Err(e) = check_thresholds(t1, t2) {
+            panic!("{e}");
+        }
         let n_msbit = (1.0 / t1).log2().ceil() as u32;
         Thresholds { t1, t2, n_msbit: n_msbit.min(23) }
     }
@@ -157,6 +161,12 @@ mod tests {
 
     fn th() -> Thresholds {
         Thresholds::paper_default()
+    }
+
+    #[test]
+    #[should_panic(expected = "t1 must be in (0, 1), got -1")]
+    fn new_panics_with_the_check_message() {
+        let _ = Thresholds::new(-1.0, 0.01);
     }
 
     #[test]

@@ -493,13 +493,11 @@ impl DesignPolicy for DecoupledPolicy {
     }
 
     fn writeback(&mut self, sys: &mut System, line: LineAddr, now: u64) {
-        // Decoupled LLC: the dirty line allocates as a UCL; its
-        // displacements run the Fig. 8 eviction machine.
-        if self.llc.probe_ucl(line) {
-            self.llc.access_ucl(line, true);
-        } else {
-            self.insert_ucl(sys, line, true, now);
-        }
+        // Decoupled LLC: a resident UCL turns dirty, a missing one
+        // allocates dirty (one probe of its set); the displacements run the
+        // Fig. 8 eviction machine.
+        self.llc.writeback_ucl(line, &mut self.evict_queue);
+        self.handle_avr_evictions(sys, now);
     }
 
     fn has_compressor(&self) -> bool {

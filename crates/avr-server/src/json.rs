@@ -137,9 +137,10 @@ impl Json {
         }
     }
 
-    /// Parse one JSON document; trailing non-whitespace is an error.
+    /// Parse one JSON document; trailing non-whitespace is an error, and so
+    /// is nesting deeper than [`MAX_DEPTH`] arrays and objects.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -204,12 +205,29 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a bound one line of `[`s could
+/// overflow a thread's stack; requests, events and the bench trajectory
+/// files nest a few levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
+    /// Enter one array or object level, refusing to go past [`MAX_DEPTH`].
+    fn descend(&mut self) -> Result<(), String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at offset {}", self.pos));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
@@ -248,8 +266,18 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => {
+                self.descend()?;
+                let v = self.array();
+                self.depth -= 1;
+                v
+            }
+            Some(b'{') => {
+                self.descend()?;
+                let v = self.object();
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(b) => Err(format!("unexpected byte '{}' at offset {}", b as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
@@ -458,6 +486,27 @@ mod tests {
     fn unicode_escapes_and_raw_utf8_parse() {
         let v = Json::parse("\"\\u00e9\\ud83d\\ude00é\"").unwrap();
         assert_eq!(v, Json::Str("é😀é".to_string()));
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_overflowing_the_stack() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("offset {MAX_DEPTH}")), "{err}");
+        // One line of 200 000 `[`, parsed on a thread with the 2 MiB stack
+        // a server session gets: an error, not a stack overflow.
+        let line = "[".repeat(200_000);
+        let reply = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || Json::parse(&line))
+            .unwrap()
+            .join()
+            .unwrap();
+        let err = reply.unwrap_err();
+        assert!(err.contains("nesting deeper than") && err.contains("offset"), "{err}");
     }
 
     #[test]

@@ -20,7 +20,9 @@
 
 use crate::json::Json;
 use avr_sim::{Counters, EnergyBreakdown, RunMetrics};
-use avr_types::{BackendKind, BenchScale, CellSpec, ConfigOverrides, DesignKind, LayoutKind};
+use avr_types::{
+    check_thresholds, BackendKind, BenchScale, CellSpec, ConfigOverrides, DesignKind, LayoutKind,
+};
 
 /// One parsed client request.
 #[derive(Clone, Debug, PartialEq)]
@@ -159,7 +161,8 @@ pub fn cell_to_json(cell: &CellSpec) -> Json {
 }
 
 /// Decode a cell spec, rejecting unknown labels (not unknown keys — extra
-/// keys are ignored so the wire format can grow).
+/// keys are ignored so the wire format can grow) and error thresholds the
+/// codec would refuse.
 pub fn cell_from_json(doc: &Json) -> Result<CellSpec, String> {
     let workload = doc
         .get("workload")
@@ -205,6 +208,10 @@ pub fn cell_from_json(doc: &Json) -> Result<CellSpec, String> {
         mram_p10: f("mram_p10")?,
         retry_budget: u("retry_budget")?,
     };
+    // The codec asserts the same check when the cell's system is built; an
+    // out-of-range threshold must fail here, at submit, instead.
+    let avr = cell.config(&crate::server::base_config(cell.scale)).avr;
+    check_thresholds(avr.t1, avr.t2).map_err(|e| e.to_string())?;
     Ok(cell)
 }
 
@@ -396,6 +403,16 @@ mod tests {
         assert!(Request::parse("not json").unwrap_err().contains("bad json"));
         assert!(Request::parse("{\"cmd\":\"fly\"}").unwrap_err().contains("fly"));
         assert!(Request::parse("{\"cmd\":\"submit\",\"cells\":[]}").is_err());
+        for (cell, field, range) in [
+            ("{\"workload\":\"heat\",\"t1\":-1}", "t1", "(0, 1)"),
+            ("{\"workload\":\"heat\",\"t1\":1}", "t1", "(0, 1)"),
+            ("{\"workload\":\"heat\",\"t2\":-0.5}", "t2", "> 0"),
+            ("{\"workload\":\"heat\",\"scale\":\"bench\",\"t2\":0}", "t2", "> 0"),
+        ] {
+            let err =
+                Request::parse(&format!("{{\"cmd\":\"submit\",\"cells\":[{cell}]}}")).unwrap_err();
+            assert!(err.contains("cell 0") && err.contains(field) && err.contains(range), "{err}");
+        }
     }
 
     #[test]

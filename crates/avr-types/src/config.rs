@@ -119,6 +119,42 @@ impl Default for AvrParams {
     }
 }
 
+/// A T1/T2 setting outside the range the codec accepts.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ThresholdError {
+    /// T1 (`t1`) must lie in (0, 1).
+    T1OutOfRange(f64),
+    /// T2 (`t2`) must be greater than 0.
+    T2NotPositive(f64),
+}
+
+impl std::fmt::Display for ThresholdError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ThresholdError::T1OutOfRange(v) => write!(f, "t1 must be in (0, 1), got {v}"),
+            ThresholdError::T2NotPositive(v) => write!(f, "t2 must be > 0, got {v}"),
+        }
+    }
+}
+
+impl std::error::Error for ThresholdError {}
+
+/// The one range check on an [`AvrParams`] T1/T2 pair: T1 in (0, 1) and
+/// T2 > 0 (NaN fails either; T1 is reported first). The codec's
+/// `Thresholds::new` asserts it, and the sweep server runs it on every
+/// submitted cell, so the two cannot drift.
+pub fn check_thresholds(t1: f64, t2: f64) -> Result<(), ThresholdError> {
+    let t1_ok = t1 > 0.0 && t1 < 1.0;
+    let t2_ok = t2 > 0.0;
+    if !t1_ok {
+        return Err(ThresholdError::T1OutOfRange(t1));
+    }
+    if !t2_ok {
+        return Err(ThresholdError::T2NotPositive(t2));
+    }
+    Ok(())
+}
+
 /// Which device error-model backend serves main memory (the `DramBackend`
 /// axis, ROADMAP item 4). All backends share the DDR4 timing engine; they
 /// differ in whether — and how — stored bits decay.
@@ -467,6 +503,26 @@ impl SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn threshold_check_names_the_field_and_its_range() {
+        assert_eq!(check_thresholds(0.02, 0.01), Ok(()));
+        assert_eq!(check_thresholds(0.999, f64::INFINITY), Ok(()));
+        for t1 in [-1.0, 0.0, -0.0, 1.0, 2.0, f64::NAN, f64::INFINITY] {
+            let e = check_thresholds(t1, 0.01).unwrap_err();
+            assert!(matches!(e, ThresholdError::T1OutOfRange(v) if v.to_bits() == t1.to_bits()));
+            assert!(e.to_string().starts_with("t1 must be in (0, 1), got "), "{e}");
+        }
+        for t2 in [-0.5, 0.0, -0.0, f64::NAN, f64::NEG_INFINITY] {
+            let e = check_thresholds(0.02, t2).unwrap_err();
+            assert!(matches!(e, ThresholdError::T2NotPositive(v) if v.to_bits() == t2.to_bits()));
+            assert!(e.to_string().starts_with("t2 must be > 0, got "), "{e}");
+        }
+        // Both out of range: T1 is reported first.
+        assert!(matches!(check_thresholds(-1.0, -1.0), Err(ThresholdError::T1OutOfRange(_))));
+        let d = AvrParams::default();
+        assert_eq!(check_thresholds(d.t1, d.t2), Ok(()));
+    }
 
     #[test]
     fn table1_geometry() {

@@ -14,8 +14,8 @@ pub mod value;
 pub use addr::{BlockAddr, LineAddr, PhysAddr, CL_BYTES, CL_OFFSET_BITS, LINES_PER_BLOCK};
 pub use block::BlockData;
 pub use config::{
-    AvrParams, BackendKind, BenchScale, CacheGeometry, DesignKind, DramParams, ErrorModelParams,
-    LayoutKind, MemoParams, SystemConfig,
+    check_thresholds, AvrParams, BackendKind, BenchScale, CacheGeometry, DesignKind, DramParams,
+    ErrorModelParams, LayoutKind, MemoParams, SystemConfig, ThresholdError,
 };
 pub use job::{CellSpec, ConfigOverrides};
 pub use line::CacheLine;

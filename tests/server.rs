@@ -159,10 +159,26 @@ fn malformed_and_invalid_requests_get_error_replies_without_wedging() {
         "{\"cmd\":\"submit\",\"cells\":[{\"workload\":\"heat\",\"layout\":\"partitioned\"}]}",
         "{\"cmd\":\"cancel\",\"job\":999}",
         "{\"cmd\":\"results\",\"job\":999}",
+        // Out-of-range error thresholds: acked before, they panicked the
+        // engine thread when the cell built its codec, and no later job ran.
+        "{\"cmd\":\"submit\",\"cells\":[{\"workload\":\"heat\",\"t1\":-1}]}",
+        "{\"cmd\":\"submit\",\"cells\":[{\"workload\":\"heat\",\"t1\":1}]}",
+        "{\"cmd\":\"submit\",\"cells\":[{\"workload\":\"heat\",\"t1\":2.5}]}",
+        "{\"cmd\":\"submit\",\"cells\":[{\"workload\":\"heat\",\"t2\":-0.01}]}",
+        "{\"cmd\":\"submit\",\"cells\":[{\"workload\":\"heat\"},{\"workload\":\"fft\",\"t2\":0}]}",
     ] {
         let reply = send(&mut reader, bad);
         assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false), "{bad}");
         assert!(reply.get("error").is_some(), "{bad}");
+    }
+    // A threshold error names the field and its allowed range.
+    for (cell, expect) in [
+        ("{\"workload\":\"heat\",\"t1\":-1}", "t1 must be in (0, 1), got -1"),
+        ("{\"workload\":\"heat\",\"t2\":-0.01}", "t2 must be > 0, got -0.01"),
+    ] {
+        let reply = send(&mut reader, &format!("{{\"cmd\":\"submit\",\"cells\":[{cell}]}}"));
+        let error = reply.get("error").unwrap().as_str().unwrap();
+        assert!(error.contains(expect), "{error}");
     }
     // The unknown-workload error names the registry.
     let reply = send(&mut reader, "{\"cmd\":\"submit\",\"cells\":[{\"workload\":\"warp\"}]}");
@@ -196,6 +212,35 @@ fn malformed_and_invalid_requests_get_error_replies_without_wedging() {
         }
     }
 
+    let mut client = Client::connect(addr).unwrap();
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
+fn deeply_nested_request_gets_an_error_and_the_server_lives_on() {
+    let server = SweepServer::bind_with("127.0.0.1:0", SimPool::new(1)).unwrap();
+    let (addr, handle) = server.spawn();
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut send = |line: &str| {
+        let mut w = &stream;
+        w.write_all(line.as_bytes()).unwrap();
+        w.write_all(b"\n").unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        Json::parse(reply.trim()).unwrap()
+    };
+    // 200 000 `[` on one line used to overflow the session thread's stack
+    // and abort the whole process.
+    let reply = send(&"[".repeat(200_000));
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    let error = reply.get("error").unwrap().as_str().unwrap();
+    assert!(error.contains("nesting") && error.contains("offset"), "{error}");
+    // Same connection, same server: still serving.
+    let status = send("{\"cmd\":\"status\"}");
+    assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true), "{status:?}");
+    // And a fresh connection works too.
     let mut client = Client::connect(addr).unwrap();
     client.shutdown().unwrap();
     handle.join().unwrap().unwrap();
