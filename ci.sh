@@ -6,17 +6,19 @@
 #                         scalar-fallback tests + perf
 #   ./ci.sh lint          rustfmt + clippy -D warnings + cargo doc --no-deps
 #                         (rustdoc warnings denied: the redesigned public
-#                         bulk Vm API stays documented), then rustfmt +
-#                         clippy -D warnings on the benchmark package
-#                         (avr_benchmark/, which --workspace skips)
+#                         bulk Vm API stays documented), a check that no
+#                         library code outside avr_types::knobs reads the
+#                         environment, then rustfmt + clippy -D warnings on
+#                         the benchmark package (avr_benchmark/, which
+#                         --workspace skips)
 #   ./ci.sh test-debug    debug build + full test suite
 #   ./ci.sh test-release  release build + full test suite + the benchmark
 #                         package's unit tests (avr_benchmark/: its digest
 #                         pins, the Vm wrapper's transparency, and its
 #                         release profile matching the workspace's)
-#   ./ci.sh test-scalar   release test suite with AVR_NO_SIMD=1 — forces
-#                         the portable scalar codec arm so the non-dispatch
-#                         path can never rot
+#   ./ci.sh test-scalar   release test suite with AVR_NO_SIMD=1 — the
+#                         process's dispatch table is the portable scalar
+#                         codec arm, so the non-SIMD path can never rot
 #   ./ci.sh test-perword  release test suite with AVR_NO_BATCHED_WALK=1 —
 #                         forces the per-word timed walk (the batched span
 #                         walk's reference semantics) so the equivalence
@@ -39,12 +41,19 @@
 #                         cell to a direct run), plus the sweep_server
 #                         binary driven over a real socket
 #   ./ci.sh perf          bench smoke: bench_e2e --smoke gated against the
-#                         committed BENCH_PR16.json + codec kernel smoke +
-#                         every table/figure and the ablation at tiny scale
+#                         committed BENCH_PR16.json + codec kernel smoke
+#                         (AVR_BENCH_FAST=1) + every table/figure and the
+#                         ablation at tiny scale
 #   ./ci.sh quick         fast local pre-commit check (lint + release tests)
 #
 # Every stage prints its wall time on completion (run_stage), so a slow CI
 # leg is attributable to a stage instead of to "the job".
+#
+# The test-* legs select an alternate implementation through an AVR_*
+# knob. The simulator resolves every knob once per process, in
+# crates/avr-types/src/knobs.rs (the six knobs, their kinds and defaults
+# are listed there and in PERFORMANCE.md, "Knobs"); tests/knobs.rs checks
+# in every leg that each consumer follows the leg's variable.
 #
 # Everything builds with the repo's .cargo/config.toml (host-native
 # codegen) and the channel pinned by rust-toolchain.toml; see
@@ -79,6 +88,19 @@ lint() {
     # links or undocumented public items fail the gate.
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
+    echo "==> environment reads only in avr_types::knobs"
+    # Library code takes AVR_* knobs from the one snapshot in
+    # crates/avr-types/src/knobs.rs; entry points under src/bin/ may read
+    # their own environment.
+    local reads
+    reads=$(grep -rn --include='*.rs' 'env::var' crates/*/src \
+        | grep -v -e '^crates/avr-types/src/knobs\.rs:' -e '^crates/[^/]*/src/bin/' || true)
+    if [ -n "$reads" ]; then
+        echo "$reads" >&2
+        echo "error: library code reads the environment; use avr_types::knobs" >&2
+        return 1
+    fi
+
     echo "==> cargo fmt --check + clippy -D warnings (benchmark package)"
     # A package of its own (empty [workspace]), so --workspace skips it.
     cargo fmt --check --manifest-path avr_benchmark/Cargo.toml
@@ -107,9 +129,11 @@ test_release() {
 
 test_scalar() {
     echo "==> cargo test --release with AVR_NO_SIMD=1 (scalar codec arm)"
-    # The dispatcher honors AVR_NO_SIMD at first use, so the whole suite —
-    # including the reference-oracle and determinism tests — runs on the
-    # portable scalar kernels, exactly what a non-x86 host would execute.
+    # The knob makes the scalar arm the process's dispatch table, so every
+    # Compressor and compress call — the determinism and digest tests
+    # included — runs the portable kernels, exactly what a non-x86 host
+    # would execute. The per-arm oracle still covers every arm: it hands
+    # each arm's table to its scratch explicitly.
     AVR_NO_SIMD=1 cargo test --release --workspace -q
 }
 
@@ -137,14 +161,15 @@ test_relaxed() {
 
 test_pooled() {
     echo "==> cargo test --release with AVR_THREADS=4 (4-wide SimPool)"
-    # AVR_THREADS overrides every default-width SimPool, so the whole
-    # suite runs its grid sweeps and Table 4 summaries four workers wide
-    # even on a smaller CI runner: chunked claiming, heaviest-first
-    # scheduling and the golden-run memoization all execute under real
-    # worker concurrency, and the determinism tests verify the results
-    # stay bit-identical to the 1-thread order. Tests that construct
-    # explicit-width pools (tests/determinism.rs, tests/scaling.rs) are
-    # unaffected — SimPool::new ignores the env.
+    # AVR_THREADS sets every default-width SimPool (SimPool::from_env:
+    # grid sweeps, the figures sweep, the sweep_server daemon), so the
+    # whole suite runs them four workers wide even on a smaller CI
+    # runner: chunked claiming, heaviest-first scheduling and the
+    # golden-run memoization all execute under real worker concurrency,
+    # and the determinism tests verify the results stay bit-identical to
+    # the 1-thread order. Tests that construct explicit-width pools
+    # (tests/determinism.rs, tests/scaling.rs) are unaffected —
+    # SimPool::new ignores the knob.
     AVR_THREADS=4 cargo test --release --workspace -q
 }
 
@@ -212,15 +237,18 @@ perf() {
     # doing its work once (the codec memo in `Compressor`, one-probe
     # `AvrLlc` sets with tag back-pointers), with the per-design section
     # (the full `DesignKind::ALL` set including the memoization family)
-    # alongside the ten-workload suite, the per-backend and per-layout
-    # sections and the sweep-server loopback record, so the smoke gate
-    # exercises every design's engine path on every run; on a multi-core
+    # alongside the ten-workload suite and the per-backend and per-layout
+    # sections, so the smoke gate exercises every design's engine path on
+    # every run (the sweep server's loopback cost is the repository
+    # benchmark's server-mixed workload, not a bench_e2e section); on a
+    # multi-core
     # runner the gate also fails if the pooled Table 4 sweep is slower
     # than single-thread (the ROADMAP re-gate rule applies).
     cargo run --release -p avr-bench --bin bench_e2e -- \
         --smoke --check BENCH_PR16.json --out bench-e2e-smoke.json
 
     echo "==> codec kernel smoke (reference vs fused, shrunk measurement)"
+    # AVR_BENCH_FAST is a flag: any value but empty or 0 shrinks the run.
     AVR_BENCH_FAST=1 cargo run --release -p avr-bench --bin bench_codec -- /tmp/bench_smoke.json
 
     echo "==> paper pipeline smoke: every table/figure renderer + the ablation (tiny scale)"

@@ -4,17 +4,17 @@
 //! [`avr_server::Json`]) so every PR's codec performance is tracked in-repo.
 //!
 //! Usage: `bench_codec [output.json]` (default `BENCH_current.json`).
-//! The committed trajectory file for this PR is `BENCH_PR3.json`; CI's
-//! smoke mode (`AVR_BENCH_FAST=1`) shrinks the measurement.
+//! The committed codec trajectory file is `BENCH_PR3.json`; CI's smoke
+//! mode (the `AVR_BENCH_FAST` knob) shrinks the measurement.
 //!
 //! Three sections are measured:
 //!
 //! * **`kernels`** — reference vs. fused whole-codec timing on the
 //!   smooth/spiky/noise blocks, on the auto-dispatched SIMD arm (the
 //!   numbers the PR1→PR2→… trajectory compares);
-//! * **`codec_arms`** — the fused codec re-timed with the dispatch pinned
-//!   to each arm the host supports (scalar / SSE2 / AVX2), so the win of
-//!   each explicit-SIMD backend is part of the record;
+//! * **`codec_arms`** — the fused codec re-timed on each arm's dispatch
+//!   table the host supports (scalar / SSE2 / AVX2), so the win of each
+//!   explicit-SIMD backend is part of the record;
 //! * **`simd_kernels`** — per-kernel ns/value microbenchmarks of the four
 //!   dispatched hot loops (`to_fixed_f32`, `downsample_both`,
 //!   `reconstruct_1d`/`2d`, `check_chunk_f32`) on every arm.
@@ -27,6 +27,7 @@ use avr_bench::codec_kernels::{noise_block, smooth_block, spiky_block};
 use avr_compress::simd::{self, CodecKernels};
 use avr_compress::{choose_bias, compress_reference, compress_with, CompressScratch, Thresholds};
 use avr_server::Json;
+use avr_types::knobs::knobs;
 use avr_types::{BlockData, DataType, VALUES_PER_BLOCK};
 use std::time::Instant;
 
@@ -108,15 +109,15 @@ fn time_ns(mut f: impl FnMut(), iters: u32, samples: usize, warmup: u32) -> f64 
     median(ns)
 }
 
-/// Fused whole-codec timing with the dispatch pinned per arm.
+/// Fused whole-codec timing on each arm's dispatch table.
 fn measure_codec_arms(kernels: &[(&'static str, BlockData)], fast: bool) -> Vec<ArmMeasurement> {
     let th = Thresholds::paper_default();
     let (iters, samples, warmup) = if fast { (500u32, 9, 1_000u32) } else { (2_000, 21, 5_000) };
     let mut out = Vec::new();
     for arm in simd::supported_arms() {
-        assert!(simd::force_arm(Some(arm)));
+        let table = simd::dispatch_kernels_for(arm).expect("supported arm");
         for (name, block) in kernels {
-            let mut scratch = CompressScratch::new();
+            let mut scratch = CompressScratch::with_kernels(table);
             let ns = time_ns(
                 || {
                     std::hint::black_box(
@@ -130,7 +131,6 @@ fn measure_codec_arms(kernels: &[(&'static str, BlockData)], fast: bool) -> Vec<
             out.push(ArmMeasurement { kernel: name, arm: arm.name(), fused_ns: ns });
         }
     }
-    simd::force_arm(None);
     out
 }
 
@@ -229,14 +229,14 @@ fn main() {
         eprintln!("error: cannot write {out_path}: {e}");
         std::process::exit(1);
     }
-    let fast = std::env::var("AVR_BENCH_FAST").is_ok();
+    let fast = knobs().bench_fast;
 
     let kernels: [(&'static str, BlockData); 3] = [
         ("smooth_block", smooth_block()),
         ("spiky_block", spiky_block()),
         ("noise_block", noise_block()),
     ];
-    let dispatch_arm = simd::active_arm();
+    let dispatch_arm = simd::kernels().arm;
     let results: Vec<Measurement> =
         kernels.iter().map(|(name, block)| measure(name, block, fast)).collect();
     let arm_results = measure_codec_arms(&kernels, fast);

@@ -89,19 +89,16 @@
 //! per-workload single-vs-pooled speedup over that workload's five-design
 //! column.
 //!
-//! The top-level `server` object (PR 9) times the suite × AVR grid
-//! through the sweep server's loopback TCP path on a width-1 pool vs. the
-//! same grid run directly, recording cells/s both ways — the protocol +
-//! serialization overhead trajectory. A second submission of the same
-//! batch records the warm-path time and asserts the golden cache absorbed
-//! every golden recomputation.
+//! The `host` object also records every resolved `AVR_*` knob
+//! (`avr_types::knobs`). Files up to `BENCH_PR16.json` also carry a
+//! top-level `server` object, which `--check` ignores; the repository
+//! benchmark's `server-mixed` workload times the sweep server.
 
 use avr_core::{BackendKind, DesignKind, LayoutKind, SimPool, SystemConfig};
-use avr_server::{Client, Json, SweepServer};
-use avr_types::CellSpec;
+use avr_server::{base_config, Json};
+use avr_types::knobs::knobs;
 use avr_workloads::{
-    all_benchmarks, golden, golden_run, run_grid, run_grid_layouts, run_on_design, BenchScale,
-    Workload,
+    all_benchmarks, golden_run, run_grid, run_grid_layouts, run_on_design, BenchScale, Workload,
 };
 use std::time::Instant;
 
@@ -225,42 +222,6 @@ struct Section {
     layouts: Vec<LayoutRate>,
     designs: Vec<DesignRate>,
     scaling: Scaling,
-}
-
-/// The suite × AVR grid timed through the sweep server's loopback TCP
-/// path vs. run directly, both on one worker — the difference is protocol,
-/// serialization and queueing overhead.
-struct ServerRate {
-    cells: usize,
-    direct_ms: f64,
-    server_ms: f64,
-    /// Second submission of the identical batch (warm golden cache, warm
-    /// connection).
-    repeat_ms: f64,
-    /// Golden-cache hits the repeat submission scored (must cover every
-    /// cell: resubmission recomputes no goldens).
-    golden_hits_delta: u64,
-}
-
-impl ServerRate {
-    fn cells_per_sec_direct(&self) -> f64 {
-        self.cells as f64 / (self.direct_ms / 1e3).max(1e-9)
-    }
-
-    fn cells_per_sec_server(&self) -> f64 {
-        self.cells as f64 / (self.server_ms / 1e3).max(1e-9)
-    }
-
-    fn overhead_fraction(&self) -> f64 {
-        self.server_ms / self.direct_ms.max(1e-9) - 1.0
-    }
-}
-
-fn config_for(scale: BenchScale) -> SystemConfig {
-    match scale {
-        BenchScale::Tiny => SystemConfig::tiny(),
-        BenchScale::Bench => SystemConfig::per_core_scaled(),
-    }
 }
 
 /// Time one full (golden + AVR + summary) run per workload, best-of-N so
@@ -513,57 +474,11 @@ fn measure_layouts(suite: &[Box<dyn Workload>], cfg: &SystemConfig) -> Vec<Layou
         .collect()
 }
 
-/// Time the suite × AVR grid submitted over loopback to an in-process
-/// sweep server on a width-1 pool, against the same grid run directly on
-/// one thread. The wire cells pin the exact backend (`CellSpec` default),
-/// so the direct run pins it too — identical work on both paths.
-fn measure_server(suite: &[Box<dyn Workload>], cfg: &SystemConfig) -> ServerRate {
-    prime_goldens(suite);
-    let designs = [DesignKind::Avr];
-    let mut cfg = cfg.clone();
-    cfg.error_model.backend = Some(avr_types::BackendKind::Exact);
-    let t0 = Instant::now();
-    let grid = run_grid(&SimPool::new(1), suite, &cfg, &designs);
-    let direct_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(grid.len(), suite.len());
-
-    let server =
-        SweepServer::bind_with("127.0.0.1:0", SimPool::new(1)).expect("bind loopback server");
-    let (addr, handle) = server.spawn();
-    let mut client = Client::connect(addr).expect("connect to sweep server");
-    let cells: Vec<CellSpec> = suite.iter().map(|w| CellSpec::new(w.name())).collect();
-    let mut submit_once = || {
-        let t0 = Instant::now();
-        let job = client.submit(cells.clone()).expect("submit batch");
-        let outcome = client.collect_job(job).expect("collect results");
-        assert_eq!(outcome.completed as usize, cells.len(), "server dropped cells");
-        t0.elapsed().as_secs_f64() * 1e3
-    };
-    let server_ms = submit_once();
-    let hits_before_repeat = golden::stats::hits();
-    let repeat_ms = submit_once();
-    let golden_hits_delta = golden::stats::hits() - hits_before_repeat;
-    assert!(
-        golden_hits_delta >= cells.len() as u64,
-        "resubmission must hit the golden cache for every cell \
-         ({golden_hits_delta} hits for {} cells)",
-        cells.len()
-    );
-    client.shutdown().expect("shutdown server");
-    handle.join().expect("join server thread").expect("server exit");
-    ServerRate { cells: cells.len(), direct_ms, server_ms, repeat_ms, golden_hits_delta }
-}
-
-fn measure_section(
-    scale: BenchScale,
-    label: &'static str,
-    reps: u32,
-    pool_threads: usize,
-) -> Section {
+fn measure_section(scale: BenchScale, reps: u32, pool_threads: usize) -> Section {
     let suite = all_benchmarks(scale);
-    let cfg = config_for(scale);
+    let cfg = base_config(scale);
     Section {
-        scale_label: label,
+        scale_label: scale.label(),
         workloads: measure_workloads(&suite, &cfg, reps),
         sweep: measure_sweep(&suite, &cfg, pool_threads),
         backends: measure_backends(&suite, &cfg),
@@ -681,20 +596,6 @@ fn section_json(s: &Section) -> Json {
                 ("per_workload", Json::Arr(per_workload.collect())),
             ]),
         ),
-    ])
-}
-
-fn server_json(r: &ServerRate) -> Json {
-    Json::obj([
-        ("scale", "tiny".into()),
-        ("cells", r.cells.into()),
-        ("direct_ms", r.direct_ms.into()),
-        ("server_ms", r.server_ms.into()),
-        ("repeat_ms", r.repeat_ms.into()),
-        ("cells_per_sec_direct", r.cells_per_sec_direct().into()),
-        ("cells_per_sec_server", r.cells_per_sec_server().into()),
-        ("overhead_fraction", r.overhead_fraction().into()),
-        ("golden_hits_delta", r.golden_hits_delta.into()),
     ])
 }
 
@@ -897,14 +798,12 @@ fn main() {
     let host_width = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     eprintln!("bench_e2e: smoke section (tiny scale)...");
-    let smoke = measure_section(BenchScale::Tiny, "tiny", 3, sweep_threads);
-    eprintln!("bench_e2e: server section (loopback vs direct, tiny scale)...");
-    let server = measure_server(&all_benchmarks(BenchScale::Tiny), &config_for(BenchScale::Tiny));
+    let smoke = measure_section(BenchScale::Tiny, 3, sweep_threads);
     let full = if smoke_only {
         None
     } else {
         eprintln!("bench_e2e: full section (bench scale)...");
-        Some(measure_section(BenchScale::Bench, "bench", 1, sweep_threads))
+        Some(measure_section(BenchScale::Bench, 1, sweep_threads))
     };
 
     let mut sections = vec![("smoke", section_json(&smoke))];
@@ -921,9 +820,9 @@ fn main() {
             Json::obj([
                 ("available_parallelism", host_width.into()),
                 ("pool_threads", sweep_threads.into()),
+                ("knobs", Json::obj(knobs().entries().map(|(name, value)| (name, value.into())))),
             ]),
         ),
-        ("server", server_json(&server)),
         ("sections", Json::obj(sections)),
     ]);
 
@@ -1001,19 +900,6 @@ fn main() {
             curve.join("  ")
         );
     }
-
-    eprintln!(
-        "server loopback: {} cells  direct {:.0} ms ({:.1} cells/s)  server {:.0} ms \
-         ({:.1} cells/s)  repeat {:.0} ms  overhead {:+.1}%  golden hits on repeat: {}",
-        server.cells,
-        server.direct_ms,
-        server.cells_per_sec_direct(),
-        server.server_ms,
-        server.cells_per_sec_server(),
-        server.repeat_ms,
-        server.overhead_fraction() * 100.0,
-        server.golden_hits_delta
-    );
 
     std::fs::write(&out_path, doc.render() + "\n").expect("write trajectory file");
     eprintln!("wrote {out_path}");

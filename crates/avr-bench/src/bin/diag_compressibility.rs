@@ -1,11 +1,11 @@
-use avr_bench::scale_from_env;
 use avr_compress::{compress, CompressFailure, Thresholds};
 use avr_core::ExactVm;
+use avr_types::knobs::knobs;
 use avr_workloads::all_benchmarks;
 
 fn main() {
     let th = Thresholds::paper_default();
-    for w in all_benchmarks(scale_from_env()) {
+    for w in all_benchmarks(knobs().scale) {
         let mut vm = ExactVm::new();
         let _ = w.run(&mut vm);
         let blocks: Vec<_> = vm.space.approx_blocks().collect();

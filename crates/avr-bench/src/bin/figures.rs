@@ -9,20 +9,14 @@
 //! The last section, the ablation of AVR's mechanisms, is not a paper
 //! figure.
 
-use avr_bench::{
-    ablation, fig09, fig10, fig11, fig12, fig13, fig14, fig15, scale_from_env, scale_label, table3,
-    table4, Sweep,
-};
+use avr_bench::{ablation, fig09, fig10, fig11, fig12, fig13, fig14, fig15, table3, table4, Sweep};
 use avr_core::{DesignKind, OverheadReport, SystemConfig};
+use avr_types::knobs::knobs;
 
 fn main() {
-    let scale = scale_from_env();
+    let scale = knobs().scale;
     let pool = avr_core::SimPool::from_env();
-    eprintln!(
-        "running full sweep at {} scale ({} pool threads)...",
-        scale_label(scale),
-        pool.threads()
-    );
+    eprintln!("running full sweep at {} scale ({} pool threads)...", scale.label(), pool.threads());
     let t0 = std::time::Instant::now();
     let sweep = Sweep::run_on(&pool, scale, &DesignKind::ALL);
     eprintln!(

@@ -6,9 +6,12 @@
 //! * `tiny`  — smoke scale, the default for the `figures` binary (the
 //!   whole evaluation regenerates in about a second);
 //! * `bench` — the evaluation scale with paper-like footprint:LLC
-//!   ratios; select with `AVR_SCALE=bench`.
+//!   ratios; select with `AVR_SCALE=bench` (`avr_types::knobs`).
+//!
+//! Each scale runs on its [`avr_server::base_config`].
 
-use avr_core::{DesignKind, SimPool, SystemConfig};
+use avr_core::{DesignKind, SimPool};
+use avr_server::base_config;
 use avr_sim::stats::geomean;
 use avr_sim::RunMetrics;
 use avr_workloads::{run_suite_on_pool, BenchScale};
@@ -26,34 +29,6 @@ pub use render::*;
 pub const BENCH_ORDER: [&str; 9] =
     ["heat", "lattice", "lbm", "orbit", "kmeans", "bscholes", "wrf", "sobel", "fft"];
 
-/// Resolve the scale from `AVR_SCALE` (tiny | bench).
-pub fn scale_from_env() -> BenchScale {
-    match std::env::var("AVR_SCALE").as_deref() {
-        Ok("bench") => BenchScale::Bench,
-        _ => BenchScale::Tiny,
-    }
-}
-
-/// Human label for a scale.
-pub fn scale_label(scale: BenchScale) -> &'static str {
-    match scale {
-        BenchScale::Tiny => "tiny",
-        BenchScale::Bench => "bench",
-    }
-}
-
-/// The system configuration used for figure regeneration: one core with
-/// its per-core share of the paper's hierarchy (`avr_core::multicore`
-/// describes the partitioned-share model). The tiny
-/// smoke scale pairs with the proportionally tiny hierarchy so that
-/// footprints still exceed the LLC and the AVR machinery activates.
-pub fn figure_config_for(scale: BenchScale) -> SystemConfig {
-    match scale {
-        BenchScale::Tiny => SystemConfig::tiny(),
-        BenchScale::Bench => SystemConfig::per_core_scaled(),
-    }
-}
-
 /// Results of a sweep, keyed by (benchmark, design label).
 pub struct Sweep {
     pub runs: HashMap<(String, &'static str), RunMetrics>,
@@ -65,7 +40,7 @@ impl Sweep {
     /// independent single-threaded simulation). Results are bit-identical
     /// for any pool width.
     pub fn run_on(pool: &SimPool, scale: BenchScale, designs: &[DesignKind]) -> Sweep {
-        let cfg = figure_config_for(scale);
+        let cfg = base_config(scale);
         let runs = run_suite_on_pool(pool, scale, &cfg, designs)
             .into_iter()
             .map(|c| ((c.workload.to_string(), c.design.label()), c.metrics))

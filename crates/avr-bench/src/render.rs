@@ -1,8 +1,9 @@
 //! Text renderers: each function prints one of the paper's tables/figures
 //! from a [`Sweep`], in the same row/series structure the paper uses.
 
-use crate::{figure_config_for, Sweep, BENCH_ORDER, FIGURE_DESIGNS};
+use crate::{Sweep, BENCH_ORDER, FIGURE_DESIGNS};
 use avr_core::DesignKind;
+use avr_server::base_config;
 use avr_sim::RunMetrics;
 use avr_types::AvrParams;
 use avr_workloads::{run_on_design, workload_by_name, BenchScale};
@@ -230,7 +231,7 @@ pub fn ablation(sweep: &Sweep, scale: BenchScale) -> String {
             "variant", "exec norm", "traffic", "error %", "MPKI norm"
         ));
         for (label, disable) in AVR_KNOBS {
-            let mut cfg = figure_config_for(scale);
+            let mut cfg = base_config(scale);
             disable(&mut cfg.avr);
             let m = run_on_design(w.as_ref(), &cfg, DesignKind::Avr);
             s.push_str(&format!(

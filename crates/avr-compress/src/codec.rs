@@ -28,8 +28,8 @@
 //!   [`OutlierVec`]: the steady-state path
 //!   performs **zero heap allocations**;
 //! * the four hot loops (conversion, dual downsample, reconstruction,
-//!   chunked error check) dispatch once per call to the active explicit
-//!   SIMD arm ([`crate::simd`]): SSE2/AVX2 on x86-64, the scalar loops
+//!   chunked error check) run on the explicit SIMD arm the scratch was
+//!   built with ([`crate::simd`]): SSE2/AVX2 on x86-64, the scalar loops
 //!   everywhere else — all arms bit-identical.
 //!
 //! Failure-order semantics: the size cap is checked before the average
@@ -95,18 +95,28 @@ impl VariantScratch {
     }
 }
 
-/// Reusable scratch buffers for the fused compression kernel (~9 KB).
+/// Reusable scratch buffers for the fused compression kernel (~9 KB),
+/// and the SIMD kernel table every compression through them runs on.
 /// [`Compressor`] owns one; the free [`compress`] function keeps one on the
 /// stack. Either way the kernel itself never touches the heap.
 #[derive(Clone)]
 pub struct CompressScratch {
+    kernels: &'static simd::CodecKernels,
     fixed: [i32; VALUES_PER_BLOCK],
     vars: [VariantScratch; 2],
 }
 
 impl CompressScratch {
-    pub const fn new() -> Self {
+    /// Scratch on the process's dispatch arm ([`simd::kernels`]).
+    pub fn new() -> Self {
+        Self::with_kernels(simd::kernels())
+    }
+
+    /// Scratch on one arm's table, such as
+    /// [`simd::dispatch_kernels_for`]`(arm)`. All arms are bit-identical.
+    pub const fn with_kernels(kernels: &'static simd::CodecKernels) -> Self {
         CompressScratch {
+            kernels,
             fixed: [0; VALUES_PER_BLOCK],
             vars: [VariantScratch::new(), VariantScratch::new()],
         }
@@ -185,7 +195,7 @@ impl VariantCheck {
 }
 
 /// Fused fixed→float + unbias + error-check over one 64-value chunk of one
-/// variant (F32) — dispatched to the active SIMD arm (the scalar arm is
+/// variant (F32) — on the scratch's SIMD arm (the scalar arm is
 /// [`crate::simd::scalar::check_chunk_f32`]; all arms are bit-identical).
 #[inline]
 fn check_chunk_f32(
@@ -265,8 +275,8 @@ pub fn compress_with(
     // The format cannot express more than a whole block of lines, and the
     // inline outlier buffer is sized to that bound.
     assert!(max_lines <= avr_types::LINES_PER_BLOCK, "max_lines {max_lines} > 16");
-    // The single dispatch point: every hot loop below runs on this arm.
-    let kern = simd::kernels();
+    // Every hot loop below runs on the scratch's arm.
+    let kern = scratch.kernels;
     let bias = match dt {
         DataType::F32 => choose_bias(&block.words).value(),
         DataType::Fixed32 => 0,
@@ -552,7 +562,8 @@ impl CodecMemo {
 
 /// A reusable compressor front-end bundling thresholds, the latency model,
 /// reusable scratch buffers, a memo of recent results and attempt
-/// statistics — the "AVR layer" module of Fig. 1.
+/// statistics — the "AVR layer" module of Fig. 1. Its scratch fixes the
+/// SIMD arm at construction: the process's dispatch arm.
 #[derive(Clone, Debug)]
 pub struct Compressor {
     pub thresholds: Thresholds,

@@ -43,16 +43,18 @@
 //!
 //! ### Dispatch
 //!
-//! [`kernels`] is the single dispatch point the codec calls. The arm is
-//! detected once (and cached): AVX2 if the CPU reports it, else SSE2 on
-//! x86-64, else scalar. Setting `AVR_NO_SIMD=1` in the environment forces
-//! the scalar fallback (CI runs a leg with it so the portable path cannot
-//! rot). Tests and benches can pin an arm with [`force_arm`] or reach a
-//! specific arm's table via [`kernels_for`].
+//! [`kernels`] is the process's dispatch table. The arm is detected once
+//! (and cached): AVX2 if the CPU reports it, else SSE2 on x86-64, else
+//! scalar. The `AVR_NO_SIMD` knob (`avr_types::knobs`) forces the scalar
+//! fallback (CI runs a leg with it so the portable path cannot rot). The
+//! codec runs on the table its scratch carries
+//! ([`crate::CompressScratch::with_kernels`]), which is [`kernels`] unless
+//! the caller picks one arm's table from [`dispatch_kernels_for`] or
+//! [`kernels_for`], as the per-arm tests and benches do.
 
 use crate::block::SUMMARY_VALUES;
+use avr_types::knobs::knobs;
 use avr_types::VALUES_PER_BLOCK;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 pub(crate) mod scalar;
@@ -194,9 +196,8 @@ pub fn supported_arms() -> impl Iterator<Item = SimdArm> {
 
 /// The *pure* kernel table of a specific arm, if the CPU supports it —
 /// every slot on that arm's explicit kernels. This ignores `AVR_NO_SIMD`
-/// and any [`force_arm`] override — it is the tests'/benches' direct line
-/// to one arm's kernels (including the SSE2 1-D lerp the dispatch mix
-/// avoids).
+/// — it is the tests'/benches' direct line to one arm's kernels
+/// (including the SSE2 1-D lerp the dispatch mix avoids).
 pub fn kernels_for(arm: SimdArm) -> Option<&'static CodecKernels> {
     if !arm_supported(arm) {
         return None;
@@ -217,80 +218,31 @@ pub fn kernels_for(arm: SimdArm) -> Option<&'static CodecKernels> {
 /// tables; SSE2 dispatches the per-kernel mix (scalar 1-D reconstruction,
 /// explicit 128-bit everything else).
 pub fn dispatch_kernels_for(arm: SimdArm) -> Option<&'static CodecKernels> {
-    if !arm_supported(arm) {
-        return None;
+    #[cfg(target_arch = "x86_64")]
+    if arm == SimdArm::Sse2 {
+        return Some(&SSE2_DISPATCH_KERNELS);
     }
-    Some(match arm {
-        SimdArm::Scalar => &SCALAR_KERNELS,
-        #[cfg(target_arch = "x86_64")]
-        SimdArm::Sse2 => &SSE2_DISPATCH_KERNELS,
-        #[cfg(target_arch = "x86_64")]
-        SimdArm::Avx2 => &AVX2_KERNELS,
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("arm_supported() admits only Scalar off x86-64"),
-    })
+    kernels_for(arm)
 }
 
-/// `AVR_NO_SIMD` disables the explicit kernels (any value but `0`/empty).
-fn simd_disabled_by_env() -> bool {
-    matches!(std::env::var("AVR_NO_SIMD"), Ok(v) if !v.is_empty() && v != "0")
-}
-
-/// Runtime-detected arm: AVX2 > SSE2 > scalar, honoring `AVR_NO_SIMD`.
-/// Detected once per process.
+/// Runtime-detected arm: AVX2 > SSE2 > scalar, or scalar when the
+/// `AVR_NO_SIMD` knob is on.
 fn detected_arm() -> SimdArm {
-    static DETECTED: OnceLock<SimdArm> = OnceLock::new();
-    *DETECTED.get_or_init(|| {
-        if simd_disabled_by_env() {
-            return SimdArm::Scalar;
-        }
-        if arm_supported(SimdArm::Avx2) {
-            SimdArm::Avx2
-        } else if arm_supported(SimdArm::Sse2) {
-            SimdArm::Sse2
-        } else {
-            SimdArm::Scalar
-        }
-    })
-}
-
-/// Process-wide arm override (0 = none). Tests/benches only.
-static FORCED: AtomicU8 = AtomicU8::new(0);
-
-/// Pin the dispatch to one arm (`None` restores auto-detection). Returns
-/// `false` (and changes nothing) if the CPU lacks the arm. Process-global:
-/// meant for benches and the per-arm oracle tests — safe to race only
-/// because every arm is bit-identical.
-pub fn force_arm(arm: Option<SimdArm>) -> bool {
-    let code = match arm {
-        None => 0,
-        Some(a) if !arm_supported(a) => return false,
-        Some(SimdArm::Scalar) => 1,
-        Some(SimdArm::Sse2) => 2,
-        Some(SimdArm::Avx2) => 3,
-    };
-    FORCED.store(code, Ordering::Relaxed);
-    true
-}
-
-/// The arm the next [`kernels`] call dispatches to.
-pub fn active_arm() -> SimdArm {
-    match FORCED.load(Ordering::Relaxed) {
-        1 => SimdArm::Scalar,
-        2 => SimdArm::Sse2,
-        3 => SimdArm::Avx2,
-        _ => detected_arm(),
+    if knobs().no_simd {
+        return SimdArm::Scalar;
     }
+    SimdArm::ALL.into_iter().rev().find(|&a| arm_supported(a)).unwrap_or(SimdArm::Scalar)
 }
 
-/// The single dispatch point: the *dispatch* table of the active arm —
-/// a per-kernel arm mix where a wide kernel loses to the scalar loop
-/// (today: the SSE2 1-D reconstruction).
+/// The process's dispatch table: the *dispatch* table of the detected arm
+/// — a per-kernel arm mix where a wide kernel loses to the scalar loop
+/// (today: the SSE2 1-D reconstruction). Detected once per process.
 #[inline]
 pub fn kernels() -> &'static CodecKernels {
-    // A forced/unsupported combination cannot exist (force_arm refuses),
-    // so this lookup never fails.
-    dispatch_kernels_for(active_arm()).expect("active arm is always supported")
+    static DISPATCH: OnceLock<&'static CodecKernels> = OnceLock::new();
+    DISPATCH.get_or_init(|| {
+        dispatch_kernels_for(detected_arm()).expect("the detected arm is supported")
+    })
 }
 
 #[cfg(test)]
@@ -298,13 +250,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scalar_is_always_supported_and_forcible() {
+    fn scalar_is_always_supported_and_dispatch_follows_the_knob() {
         assert!(arm_supported(SimdArm::Scalar));
-        assert!(force_arm(Some(SimdArm::Scalar)));
-        assert_eq!(active_arm(), SimdArm::Scalar);
-        assert_eq!(kernels().arm, SimdArm::Scalar);
-        assert!(force_arm(None));
-        assert_eq!(active_arm(), detected_arm());
+        assert!(std::ptr::eq(kernels(), dispatch_kernels_for(detected_arm()).unwrap()));
+        assert_eq!(
+            kernels().arm == SimdArm::Scalar,
+            knobs().no_simd || !arm_supported(SimdArm::Sse2)
+        );
     }
 
     #[test]

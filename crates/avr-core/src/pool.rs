@@ -57,42 +57,10 @@
 //! * claims in chunks (above) so cursor traffic scales with
 //!   `workers × chunks`, not jobs.
 
+use avr_types::knobs::knobs;
 use std::cell::UnsafeCell;
-use std::collections::BTreeSet;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
-
-/// Parse a worker-count string: a positive integer, or `None` for
-/// anything invalid (`0`, empty, non-numeric, negative). The shared
-/// validation for every `AVR_*_THREADS` knob.
-pub(crate) fn parse_threads(raw: &str) -> Option<usize> {
-    raw.trim().parse::<usize>().ok().filter(|&n| n >= 1)
-}
-
-/// Resolve a thread-count environment variable, identically for every
-/// consumer (`AVR_THREADS` here, `AVR_SUMMARY_THREADS` in
-/// `crate::system`): a positive integer is honored; an unset variable
-/// silently yields `default`; anything else (`0`, empty, non-numeric)
-/// falls back to `default` with a stderr warning. The warning fires once
-/// per variable per process — `System::new` runs once per sweep job and
-/// must not spam.
-pub fn env_threads(var: &str, default: usize) -> usize {
-    match std::env::var(var) {
-        Err(_) => default,
-        Ok(raw) => parse_threads(&raw).unwrap_or_else(|| {
-            static WARNED: OnceLock<Mutex<BTreeSet<String>>> = OnceLock::new();
-            let mut warned = WARNED.get_or_init(Mutex::default).lock().unwrap();
-            if warned.insert(var.to_string()) {
-                eprintln!(
-                    "warning: {var}={raw:?} is not a positive worker count; \
-                     using the default ({default})"
-                );
-            }
-            default
-        }),
-    }
-}
 
 /// Per-job context handed to every pool closure.
 #[derive(Clone, Copy, Debug)]
@@ -264,13 +232,10 @@ impl SimPool {
         SimPool { threads }
     }
 
-    /// Pool width from the environment: `AVR_THREADS` if set to a positive
-    /// integer, otherwise the machine's available parallelism (invalid
-    /// values fall back to that default with a stderr warning — see
-    /// [`env_threads`]).
+    /// The default-width pool: the `AVR_THREADS` knob
+    /// (`avr_types::knobs`), which defaults to the host's parallelism.
     pub fn from_env() -> Self {
-        let default = std::thread::available_parallelism().map_or(1, |n| n.get());
-        SimPool::new(env_threads("AVR_THREADS", default))
+        SimPool::new(knobs().threads)
     }
 
     /// Worker count.
@@ -563,30 +528,7 @@ mod tests {
     }
 
     #[test]
-    fn from_env_honors_avr_threads() {
-        // Set/unset is process-global; keep the assertion tolerant of both
-        // a preexisting AVR_THREADS and the default path.
-        let pool = SimPool::from_env();
-        assert!(pool.threads() >= 1);
-    }
-
-    #[test]
-    fn parse_threads_accepts_only_positive_integers() {
-        assert_eq!(parse_threads("1"), Some(1));
-        assert_eq!(parse_threads("16"), Some(16));
-        assert_eq!(parse_threads(" 4 "), Some(4), "whitespace is tolerated");
-        // The documented-fallback cases: 0, empty, non-numeric, negative.
-        for bad in ["0", "", "  ", "four", "-2", "1.5", "0x8", "18446744073709551616"] {
-            assert_eq!(parse_threads(bad), None, "{bad:?} must fall back");
-        }
-    }
-
-    #[test]
-    fn env_threads_falls_back_on_unset_or_invalid() {
-        // An unset variable silently yields the default. (Invalid *set*
-        // values go through parse_threads — covered above — plus a
-        // one-time warning; setting env vars in tests races other tests,
-        // so the set path is exercised via the CI scalar leg instead.)
-        assert_eq!(env_threads("AVR_TEST_THREADS_UNSET_XYZ", 7), 7);
+    fn from_env_is_the_threads_knob() {
+        assert_eq!(SimPool::from_env().threads(), knobs().threads);
     }
 }

@@ -13,6 +13,7 @@ use avr_dram::{backend_for, AccessKind, DramBackend, FaultCtx};
 use avr_sim::energy::{EnergyEvents, EnergyModel};
 use avr_sim::vm::{AddressSpace, PhysMem, Region, RegionOpts};
 use avr_sim::{Counters, FaultBreakdown, IntervalCore, RunMetrics};
+use avr_types::knobs::knobs;
 use avr_types::{DataType, DesignKind, LineAddr, PhysAddr, SystemConfig, CL_BYTES};
 
 use crate::design::DesignPolicy;
@@ -41,15 +42,15 @@ pub struct System {
     /// Worker count for the end-of-run parallel compression summary
     /// (Table 4 scan). Defaults to 1 — sweeps already parallelize across
     /// whole runs (`SimPool`), so nesting stays opt-in: standalone drivers
-    /// raise it via [`System::set_summary_threads`] or `AVR_SUMMARY_THREADS`.
+    /// raise it via [`System::set_summary_threads`].
     pub summary_threads: usize,
     pub(crate) energy_model: EnergyModel,
     /// 64 B-granularity LLC data accesses (energy accounting).
     pub(crate) llc_line_touches: u64,
     /// Approx annotations honored? (false for Baseline/ZeroAVR)
     honor_approx: bool,
-    /// Batched span-level timed walk enabled? Defaults to on;
-    /// `AVR_NO_BATCHED_WALK=1` (or [`System::set_batched_walk`]) forces
+    /// Batched span-level timed walk enabled? Defaults to on; the
+    /// `AVR_NO_BATCHED_WALK` knob (or [`System::set_batched_walk`]) forces
     /// the retained per-word reference walk.
     batched_walk: bool,
     /// Cached `dram.injects_faults()`: keeps the exact backend's DRAM
@@ -62,12 +63,6 @@ pub struct System {
     region_faults: Vec<FaultBreakdown>,
     /// Once-per-run latch for the span_hits fallback warning.
     span_fallback_warned: bool,
-}
-
-/// `AVR_NO_BATCHED_WALK` disables the batched timed walk (any value but
-/// `0`/empty), mirroring `AVR_NO_SIMD` for the codec kernels.
-fn batched_walk_disabled() -> bool {
-    matches!(std::env::var("AVR_NO_BATCHED_WALK"), Ok(v) if !v.is_empty() && v != "0")
 }
 
 impl System {
@@ -88,11 +83,8 @@ impl System {
             energy_model: EnergyModel::default(),
             honor_approx,
             llc_line_touches: 0,
-            // Same parse-and-fallback semantics as AVR_THREADS (one shared
-            // helper); the documented default is 1 — grid-level
-            // parallelism usually owns the cores.
-            summary_threads: crate::pool::env_threads("AVR_SUMMARY_THREADS", 1),
-            batched_walk: !batched_walk_disabled(),
+            summary_threads: 1,
+            batched_walk: !knobs().no_batched_walk,
             faults_enabled,
             retries_left: cfg.error_model.retry_budget,
             region_faults: Vec::new(),
@@ -133,8 +125,8 @@ impl System {
         self.batched_walk = on;
     }
 
-    /// Is the batched timed walk active? (Env default:
-    /// `AVR_NO_BATCHED_WALK=1` turns it off.)
+    /// Is the batched timed walk active? (The `AVR_NO_BATCHED_WALK` knob
+    /// turns it off at construction.)
     pub fn batched_walk(&self) -> bool {
         self.batched_walk
     }

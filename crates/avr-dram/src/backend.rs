@@ -44,14 +44,14 @@
 //!
 //! # Adding a fourth backend
 //!
-//! 1. Add a variant to `avr_types::BackendKind` (and its `label()`), plus
-//!    any new rate knobs to `ErrorModelParams`.
+//! 1. Add a variant to `avr_types::BackendKind` (and its `label()`, which
+//!    the `AVR_BACKEND` knob also reads), plus any new rate knobs to
+//!    `ErrorModelParams`.
 //! 2. Implement [`DramBackend`] here, wrapping a [`Dram`] for timing (adjust
 //!    `DramParams` in your constructor if the device refreshes differently).
 //!    Put all randomness through [`FaultRng::for_exposure`] keyed by your
 //!    own exposure counter — never a shared/global RNG.
-//! 3. Register the variant in [`backend_for`] and the `AVR_BACKEND` parser
-//!    in [`env_backend`].
+//! 3. Register the variant in [`backend_for`].
 //! 4. Extend `tests/fault_injection.rs`'s backend list — the thread-width
 //!    bit-identity tests and the bench `backends` axis pick it up from
 //!    `BackendKind::ALL`.
@@ -61,6 +61,7 @@
 //! approximable regions (critical data is always served exactly, optionally
 //! counting ECC scrubs), and owns the graceful-degradation retry path.
 
+use avr_types::knobs::knobs;
 use avr_types::{BackendKind, CacheLine, DramParams, ErrorModelParams, LineAddr, CL_BYTES};
 
 use crate::{AccessKind, Dram, DramResponse, DramStats};
@@ -521,36 +522,10 @@ impl DramBackend for ApproxMram {
     }
 }
 
-/// Resolve the `AVR_BACKEND` environment knob: `exact` (or unset/empty/`0`),
-/// `relaxed`, or `mram`. Unrecognized values warn once per process and fall
-/// back to `exact`, mirroring the other `AVR_*` knobs.
-pub fn env_backend() -> BackendKind {
-    use std::sync::OnceLock;
-    static WARNED: OnceLock<()> = OnceLock::new();
-    match std::env::var("AVR_BACKEND") {
-        Ok(v) => match v.trim() {
-            "" | "0" | "exact" => BackendKind::Exact,
-            "relaxed" => BackendKind::RelaxedDram,
-            "mram" => BackendKind::ApproxMram,
-            other => {
-                let other = other.to_string();
-                WARNED.get_or_init(|| {
-                    eprintln!(
-                        "avr: AVR_BACKEND={other} not recognized \
-                         (expected exact|relaxed|mram); using exact"
-                    );
-                });
-                BackendKind::Exact
-            }
-        },
-        Err(_) => BackendKind::Exact,
-    }
-}
-
 /// Build the backend selected by `em.backend`, falling back to the
-/// `AVR_BACKEND` environment knob when unpinned.
+/// `AVR_BACKEND` knob (`avr_types::knobs`) when unpinned.
 pub fn backend_for(params: &DramParams, em: &ErrorModelParams) -> Box<dyn DramBackend> {
-    match em.backend.unwrap_or_else(env_backend) {
+    match em.backend.unwrap_or(knobs().backend) {
         BackendKind::Exact => Box::new(ExactDram::new(*params)),
         BackendKind::RelaxedDram => Box::new(RelaxedRefreshDram::new(*params, em)),
         BackendKind::ApproxMram => Box::new(ApproxMram::new(*params, em)),

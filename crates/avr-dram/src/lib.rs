@@ -19,7 +19,7 @@ mod mapping;
 mod stats;
 
 pub use backend::{
-    backend_for, env_backend, ApproxMram, DramBackend, ExactDram, FaultCtx, FaultRng, FaultStats,
+    backend_for, ApproxMram, DramBackend, ExactDram, FaultCtx, FaultRng, FaultStats,
     RelaxedRefreshDram,
 };
 pub use mapping::AddressMapping;

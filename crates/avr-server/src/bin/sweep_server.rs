@@ -6,8 +6,8 @@
 //!
 //! Binds (default `127.0.0.1:0`, an OS-assigned port), prints the bound
 //! address on stdout as `listening on <addr>`, then serves until a client
-//! sends `drain` or `shutdown`. Pool width comes from
-//! `AVR_SERVER_THREADS` (default: host parallelism).
+//! sends `drain` or `shutdown`. Pool width comes from the `AVR_THREADS`
+//! knob (default: host parallelism), like every default-width `SimPool`.
 
 use avr_server::SweepServer;
 

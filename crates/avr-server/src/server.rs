@@ -31,7 +31,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 
-use avr_core::pool::env_threads;
 use avr_core::{PoolControl, SimPool};
 use avr_types::{BenchScale, CellSpec, SystemConfig};
 use avr_workloads::runner::GOLDEN_CELL_BOOST;
@@ -40,9 +39,12 @@ use avr_workloads::{golden, run_on_design_in, workload_by_name, workload_names, 
 use crate::json::Json;
 use crate::proto::{self, Request};
 
-/// The scale-default base config a cell's overrides apply to — the same
-/// mapping the bench harness uses, so a wire cell with no overrides is the
-/// exact config of the corresponding direct run.
+/// The one scale → config mapping: what a cell's overrides apply to, and
+/// what the bench harness's sweeps run on, so a wire cell with no
+/// overrides is the exact config of the corresponding direct run. `bench`
+/// is one core with its per-core share of the paper's hierarchy; `tiny`
+/// pairs with a proportionally tiny hierarchy, so footprints still exceed
+/// the LLC.
 pub fn base_config(scale: BenchScale) -> SystemConfig {
     match scale {
         BenchScale::Tiny => SystemConfig::tiny(),
@@ -207,12 +209,11 @@ pub struct SweepServer {
 }
 
 impl SweepServer {
-    /// Bind on `addr` (use port 0 for an OS-assigned port) with a pool
-    /// sized by `AVR_SERVER_THREADS`, defaulting to the host parallelism.
+    /// Bind on `addr` (use port 0 for an OS-assigned port) with the
+    /// default-width pool ([`SimPool::from_env`]: `AVR_THREADS`, else the
+    /// host parallelism).
     pub fn bind(addr: &str) -> std::io::Result<SweepServer> {
-        let host = thread::available_parallelism().map_or(1, |n| n.get());
-        let threads = env_threads("AVR_SERVER_THREADS", host);
-        Self::bind_with(addr, SimPool::new(threads))
+        Self::bind_with(addr, SimPool::from_env())
     }
 
     /// Bind with an explicit pool (tests pin widths this way).
@@ -381,18 +382,74 @@ fn session(state: &Arc<ServerState>, stream: TcpStream) {
             }
         }
     });
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        if dispatch(state, &line, &tx).is_err() {
+    let send = |reply: String| tx.send(Arc::new(reply)).map_err(|_| ());
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
+    loop {
+        let sent = match read_line(&mut reader, &mut line, MAX_LINE_BYTES) {
+            Ok(Line::Eof) | Err(_) => break,
+            Ok(Line::TooLong) => send(proto::error_response(&format!(
+                "request line longer than the {MAX_LINE_BYTES}-byte limit; discarded"
+            ))),
+            Ok(Line::Read) => match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => Ok(()),
+                Ok(text) => dispatch(state, text, &tx),
+                Err(_) => send(proto::error_response("request line is not UTF-8")),
+            },
+        };
+        if sent.is_err() {
             break;
         }
     }
     drop(tx);
     let _ = writer.join();
+}
+
+/// The longest request line a session reads, in bytes without its
+/// newline. The largest request an in-repo client sends (a 210-cell
+/// submit) is about 16 KB.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// What [`read_line`] found: a line, a line over the limit (dropped), or
+/// the end of the stream.
+#[derive(Debug, PartialEq, Eq)]
+enum Line {
+    Read,
+    TooLong,
+    Eof,
+}
+
+/// Read one `\n`-terminated line into `buf`, without the newline. A line
+/// longer than `max` bytes is read through its newline but not kept, so
+/// `buf` never holds, nor allocates, more than `max` bytes.
+fn read_line(reader: &mut impl BufRead, buf: &mut Vec<u8>, max: usize) -> std::io::Result<Line> {
+    buf.clear();
+    let mut too_long = false;
+    loop {
+        let chunk = reader.fill_buf()?;
+        let (end, eof) = (chunk.iter().position(|&b| b == b'\n'), chunk.is_empty());
+        let part = &chunk[..end.unwrap_or(chunk.len())];
+        too_long |= buf.len() + part.len() > max;
+        if too_long {
+            buf.clear();
+        } else {
+            // Grow geometrically, but never past the limit.
+            let want = (buf.len() + part.len()).max(2 * buf.capacity()).min(max);
+            buf.reserve_exact(want - buf.len());
+            buf.extend_from_slice(part);
+        }
+        let used = part.len() + end.is_some() as usize;
+        reader.consume(used);
+        if end.is_some() || eof {
+            return Ok(if too_long {
+                Line::TooLong
+            } else if eof && buf.is_empty() {
+                Line::Eof
+            } else {
+                Line::Read
+            });
+        }
+    }
 }
 
 /// Handle one request line; `Err` means the outbox is gone and the session
@@ -559,4 +616,53 @@ fn set_phase(state: &Arc<ServerState>, to: Phase) -> String {
     }
     state.queue_cv.notify_all();
     Json::obj([("ok", Json::from(true)), ("phase", Json::from(phase.label()))]).render()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Cursor;
+
+    fn lines(input: &[u8], max: usize) -> Vec<(Line, Vec<u8>)> {
+        // A tiny read buffer makes every line span several chunks.
+        let mut reader = BufReader::with_capacity(3, Cursor::new(input));
+        let mut buf = Vec::new();
+        let mut out = Vec::new();
+        loop {
+            let line = read_line(&mut reader, &mut buf, max).unwrap();
+            if line == Line::Eof {
+                return out;
+            }
+            out.push((line, buf.clone()));
+        }
+    }
+
+    #[test]
+    fn lines_over_the_limit_are_dropped_and_reading_resumes() {
+        let got = lines(b"short\nexactly8\nnine byte\n\nlast", 8);
+        assert_eq!(
+            got,
+            vec![
+                (Line::Read, b"short".to_vec()),
+                (Line::Read, b"exactly8".to_vec()),
+                (Line::TooLong, vec![]),
+                (Line::Read, vec![]),
+                (Line::Read, b"last".to_vec()),
+            ]
+        );
+        assert_eq!(lines(b"unterminated and long", 8), vec![(Line::TooLong, vec![])]);
+    }
+
+    #[test]
+    fn a_16_mib_line_never_grows_the_buffer_past_the_limit() {
+        let mut input = vec![b'['; 16 << 20];
+        input.extend_from_slice(b"\n{\"cmd\":\"status\"}\n");
+        let mut reader = BufReader::new(Cursor::new(input));
+        let mut buf = Vec::new();
+        assert_eq!(read_line(&mut reader, &mut buf, MAX_LINE_BYTES).unwrap(), Line::TooLong);
+        assert!(buf.capacity() <= MAX_LINE_BYTES, "buffer grew to {} bytes", buf.capacity());
+        assert_eq!(read_line(&mut reader, &mut buf, MAX_LINE_BYTES).unwrap(), Line::Read);
+        assert_eq!(buf, b"{\"cmd\":\"status\"}");
+        assert!(buf.capacity() <= MAX_LINE_BYTES, "buffer grew to {} bytes", buf.capacity());
+    }
 }

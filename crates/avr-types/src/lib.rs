@@ -8,6 +8,7 @@ pub mod addr;
 pub mod block;
 pub mod config;
 pub mod job;
+pub mod knobs;
 pub mod line;
 pub mod value;
 

@@ -4,7 +4,10 @@
 //! every failure reports the case seed for replay.
 
 use avr::compress::simd;
-use avr::compress::{compress, compress_reference, decompress, CompressFailure, Thresholds};
+use avr::compress::{
+    compress, compress_reference, compress_with, decompress, CompressFailure, CompressScratch,
+    Thresholds,
+};
 use avr::types::{BlockData, DataType, VALUES_PER_BLOCK};
 
 mod common;
@@ -270,23 +273,13 @@ fn assert_matches_reference(
     }
 }
 
-/// `simd::force_arm` is process-global: the two per-arm oracle tests must
-/// not interleave, or an iteration labeled for one arm would silently run
-/// on another. Each takes this lock for its whole duration.
-static ARM_PIN: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn pin_arms() -> std::sync::MutexGuard<'static, ()> {
-    // A panic in the other test (poison) must not hide this test's result.
-    ARM_PIN.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Compress `block` on every dispatch arm the CPU supports and assert each
-/// outcome is bit-identical to the reference implementation. Forcing an
-/// arm exercises its *dispatch* table — for SSE2 that is the per-kernel
-/// mix (scalar 1-D reconstruction, 128-bit everything else), so the mixed
-/// table is oracled end-to-end; the pure SSE2 1-D kernel keeps its own
-/// oracle in `avr_compress::simd::equivalence`. Restores auto-dispatch
-/// before returning. Caller must hold [`ARM_PIN`].
+/// outcome is bit-identical to the reference implementation. Each arm runs
+/// on its *dispatch* table — for SSE2 that is the per-kernel mix (scalar
+/// 1-D reconstruction, 128-bit everything else), so the mixed table is
+/// oracled end-to-end; the pure SSE2 1-D kernel keeps its own oracle in
+/// `avr_compress::simd::equivalence`. The arm travels in the scratch, so
+/// concurrent tests cannot change it.
 fn assert_all_arms_match_reference(
     block: &BlockData,
     dt: DataType,
@@ -296,11 +289,11 @@ fn assert_all_arms_match_reference(
 ) {
     let reference = compress_reference(block, dt, th, max_lines);
     for arm in simd::supported_arms() {
-        assert!(simd::force_arm(Some(arm)), "{ctx}: cannot force {arm:?}");
-        let fused = compress(block, dt, th, max_lines);
+        let table = simd::dispatch_kernels_for(arm).expect("supported arm");
+        let fused =
+            compress_with(&mut CompressScratch::with_kernels(table), block, dt, th, max_lines);
         assert_matches_reference(&fused, &reference, &format!("{ctx} [{}]", arm.name()));
     }
-    simd::force_arm(None);
 }
 
 /// The oracle: the fused hot path is **bit-identical** to the retained
@@ -309,7 +302,6 @@ fn assert_all_arms_match_reference(
 /// on **every** dispatch arm the host supports (scalar, SSE2, AVX2).
 #[test]
 fn fused_codec_is_bit_identical_to_reference() {
-    let _pin = pin_arms();
     let th = Thresholds::paper_default();
     for (dt, cases) in [(DataType::F32, 1200u64), (DataType::Fixed32, 1200u64)] {
         for case in 0..cases {
@@ -335,7 +327,6 @@ fn fused_codec_is_bit_identical_to_reference() {
 /// dispatch arm must agree with the reference bit-for-bit on all of them.
 #[test]
 fn adversarial_blocks_are_bit_identical_on_every_arm() {
-    let _pin = pin_arms();
     let th = Thresholds::paper_default();
     let mut blocks: Vec<(&'static str, BlockData)> = Vec::new();
 

@@ -8,7 +8,7 @@ use std::thread;
 use std::time::Duration;
 
 use avr::arch::{DesignKind, LayoutKind, SimPool, SystemConfig};
-use avr::server::{metrics_to_json, Client, Json, SweepServer};
+use avr::server::{metrics_to_json, Client, Json, SweepServer, MAX_LINE_BYTES};
 use avr::types::{BackendKind, BenchScale, CellSpec};
 use avr::workloads::{all_benchmarks, run_grid_layouts, GridRun};
 
@@ -241,6 +241,48 @@ fn deeply_nested_request_gets_an_error_and_the_server_lives_on() {
     let status = send("{\"cmd\":\"status\"}");
     assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true), "{status:?}");
     // And a fresh connection works too.
+    let mut client = Client::connect(addr).unwrap();
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
+fn oversized_and_non_utf8_request_lines_get_errors_and_the_connection_lives_on() {
+    let server = SweepServer::bind_with("127.0.0.1:0", SimPool::new(1)).unwrap();
+    let (addr, handle) = server.spawn();
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut reply = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        Json::parse(line.trim()).unwrap()
+    };
+    // One byte over the limit, a line that is not UTF-8, then a status
+    // request. The server must not keep the long line, and answers each.
+    let mut w = &stream;
+    w.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).unwrap();
+    w.write_all(b"\n\xff\xfe\n{\"cmd\":\"status\"}\n").unwrap();
+    for expect in [MAX_LINE_BYTES.to_string().as_str(), "UTF-8"] {
+        let error = reply();
+        assert_eq!(error.get("ok").and_then(Json::as_bool), Some(false), "{error:?}");
+        let message = error.get("error").unwrap().as_str().unwrap();
+        assert!(message.contains(expect), "{message}");
+    }
+    let status = reply();
+    assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true), "{status:?}");
+    assert!(status.get("phase").is_some(), "{status:?}");
+    // A submit on the same connection still runs to completion.
+    w.write_all(b"{\"cmd\":\"submit\",\"cells\":[{\"workload\":\"heat\"}]}\n").unwrap();
+    let ack = reply();
+    let job = ack.get("job").and_then(Json::as_u64).unwrap_or_else(|| panic!("{ack:?}"));
+    loop {
+        let event = reply();
+        if event.get("event").and_then(Json::as_str) == Some("job_done") {
+            assert_eq!(event.get("job").and_then(Json::as_u64), Some(job));
+            assert_eq!(event.get("completed").and_then(Json::as_u64), Some(1));
+            break;
+        }
+    }
     let mut client = Client::connect(addr).unwrap();
     client.shutdown().unwrap();
     handle.join().unwrap().unwrap();
