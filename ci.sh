@@ -43,7 +43,9 @@
 #   ./ci.sh perf          bench smoke: bench_e2e --smoke gated against the
 #                         committed BENCH_PR16.json + codec kernel smoke
 #                         (AVR_BENCH_FAST=1) + every table/figure and the
-#                         ablation at tiny scale
+#                         ablation at tiny scale, then the same figures
+#                         rerun under AVR_NO_SIMD=1, AVR_NO_BATCHED_WALK=1
+#                         and AVR_THREADS=1, failing on any byte difference
 #   ./ci.sh quick         fast local pre-commit check (lint + release tests)
 #
 # Every stage prints its wall time on completion (run_stage), so a slow CI
@@ -252,7 +254,26 @@ perf() {
     AVR_BENCH_FAST=1 cargo run --release -p avr-bench --bin bench_codec -- /tmp/bench_smoke.json
 
     echo "==> paper pipeline smoke: every table/figure renderer + the ablation (tiny scale)"
-    cargo run --release -p avr-bench --bin figures
+    cargo build --release -q -p avr-bench --bin figures
+    local out knob rc=0
+    out=$(mktemp -d)
+    ./target/release/figures | tee "$out/default.txt" || rc=1
+
+    echo "==> paper pipeline knob invariance: figures output byte-identical under each knob"
+    # The scalar codec arm, the per-word timed walk and a one-worker pool
+    # are bit-identical to the defaults they replace, so the whole paper
+    # pipeline must print the same bytes under each.
+    for knob in AVR_NO_SIMD=1 AVR_NO_BATCHED_WALK=1 AVR_THREADS=1; do
+        if env "$knob" ./target/release/figures >"$out/knob.txt" &&
+            cmp "$out/default.txt" "$out/knob.txt"; then
+            echo "    ${knob}: identical"
+        else
+            echo "error: figures output under ${knob} differs from the default run" >&2
+            rc=1
+        fi
+    done
+    rm -rf "$out"
+    return "$rc"
 }
 
 case "${1:-all}" in

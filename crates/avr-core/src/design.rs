@@ -1,13 +1,13 @@
 //! Pluggable design policies (ROADMAP item 2): the design axis behind a
-//! trait, the way `avr_dram::backend` put the device axis behind one.
+//! trait.
 //!
 //! A [`DesignPolicy`] owns everything that makes one evaluated design
 //! different from another: its LLC variant, the per-request routing, the
 //! served-line sizing, the writeback/compression behavior, and the
 //! end-of-run compression-ratio summary. The [`System`] owns everything the
-//! designs share — core, L1/L2, DRAM backend, backing store, counters —
-//! and dispatches each LLC-level request/writeback through the trait. The
-//! seven shipped designs:
+//! designs share — core, L1/L2, DRAM and its fault model, backing store,
+//! counters — and dispatches each LLC-level request/writeback through the
+//! trait. The seven shipped designs:
 //!
 //! * [`ConventionalPolicy`] — `Baseline` (approx annotations ignored) and
 //!   `Truncate` (fp32→fp16-style line truncation, 2:1 traffic) over a
@@ -25,7 +25,7 @@
 //! workload, design) alone — bit-identical at any `SimPool` thread width,
 //! with the per-word and batched timed walks, and with or without SIMD
 //! codec kernels. Every shipped policy achieves this the same way the
-//! device backends do: all policy state lives inside the owning `System`
+//! device fault model does: all policy state lives inside the owning `System`
 //! (one per simulated run; nothing global), and every decision is a pure
 //! function of line *content* and architected state — no RNG anywhere in
 //! the design layer. The memoization designs' threshold matches and

@@ -9,7 +9,7 @@
 //! application.
 
 use avr_cache::set_assoc::{Lookup, SetAssocCache, Victim};
-use avr_dram::{backend_for, AccessKind, DramBackend, FaultCtx};
+use avr_dram::{device_for, AccessKind, Dram, FaultCtx, FaultModel};
 use avr_sim::energy::{EnergyEvents, EnergyModel};
 use avr_sim::vm::{AddressSpace, PhysMem, Region, RegionOpts};
 use avr_sim::{Counters, FaultBreakdown, IntervalCore, RunMetrics};
@@ -28,14 +28,10 @@ pub struct System {
     pub(crate) l2: SetAssocCache,
     /// The design policy: the LLC variant, per-request routing, and
     /// writeback/compression behavior live behind [`DesignPolicy`]
-    /// (`crate::design`), the way the device axis lives behind
-    /// [`DramBackend`]. Boxed in an `Option` so [`System::with_policy`]
+    /// (`crate::design`). Boxed in an `Option` so [`System::with_policy`]
     /// can lend the policy and the `System` to each other without
     /// aliasing.
     policy: Option<Box<dyn DesignPolicy>>,
-    /// The device error-model backend (exact DRAM, relaxed-refresh DRAM,
-    /// approximate MRAM) behind the shared DDR4 timing engine.
-    pub(crate) dram: Box<dyn DramBackend>,
     pub mem: PhysMem,
     pub space: AddressSpace,
     pub counters: Counters,
@@ -53,9 +49,6 @@ pub struct System {
     /// `AVR_NO_BATCHED_WALK` knob (or [`System::set_batched_walk`]) forces
     /// the retained per-word reference walk.
     batched_walk: bool,
-    /// Cached `dram.injects_faults()`: keeps the exact backend's DRAM
-    /// paths free of any fault-hook work.
-    faults_enabled: bool,
     /// Remaining graceful-degradation budget (timed exact re-serves of
     /// implausible lines).
     retries_left: u64,
@@ -63,20 +56,29 @@ pub struct System {
     region_faults: Vec<FaultBreakdown>,
     /// Once-per-run latch for the span_hits fallback warning.
     span_fallback_warned: bool,
+    // The device is declared last: declared among the fields above, the
+    // engine's ~200 bytes made the benchmark's `dedup-memo` workload run
+    // 2-3 % slower (shared 2-core x86-64 host).
+    /// The DDR4 timing engine, running with the device's refresh
+    /// interval ([`device_for`]).
+    pub(crate) dram: Dram,
+    /// The device's error model (exact DRAM, relaxed-refresh DRAM,
+    /// approximate MRAM).
+    fault_model: FaultModel,
 }
 
 impl System {
     pub fn new(cfg: SystemConfig, design: DesignKind) -> Self {
         let policy = crate::design::policy_for(design, &cfg);
         let honor_approx = policy.honor_approx();
-        let dram = backend_for(&cfg.dram, &cfg.error_model);
-        let faults_enabled = dram.injects_faults();
+        let (dram, fault_model) = device_for(&cfg.dram, &cfg.error_model);
         System {
             core: IntervalCore::new(cfg.issue_width, cfg.rob_size, cfg.mshrs),
             l1: SetAssocCache::new(cfg.l1),
             l2: SetAssocCache::new(cfg.l2),
             policy: Some(policy),
             dram,
+            fault_model,
             mem: PhysMem::new(),
             space: AddressSpace::new(),
             counters: Counters::default(),
@@ -85,7 +87,6 @@ impl System {
             llc_line_touches: 0,
             summary_threads: 1,
             batched_walk: !knobs().no_batched_walk,
-            faults_enabled,
             retries_left: cfg.error_model.retry_budget,
             region_faults: Vec::new(),
             span_fallback_warned: false,
@@ -171,7 +172,7 @@ impl System {
 
     /// Which device backend this system runs on.
     pub fn backend_kind(&self) -> avr_types::BackendKind {
-        self.dram.kind()
+        self.fault_model.kind()
     }
 
     /// Per-region fault/degradation counters, parallel to
@@ -225,25 +226,23 @@ impl System {
     /// Device error-model hook: called after every DRAM data transfer of
     /// `line`. Critical (non-approximable under this design) lines are
     /// always served exactly — optionally counting an ECC scrub.
-    /// Approximable lines pass through the backend's `corrupt_line`; a
+    /// Approximable lines pass through the fault model's `corrupt_line`; a
     /// corrupted-but-plausible line commits to the backing store (value
     /// feedback, like every other lossy event), while an implausible one is
     /// re-served exactly by a timed retry until the budget runs out, after
     /// which it commits sanitized and the run is flagged as degraded.
     pub(crate) fn device_line_faults(&mut self, line: LineAddr, kind: AccessKind, now: u64) {
-        if !self.faults_enabled {
+        if !self.fault_model.injects_faults() {
             return;
         }
-        let Some(dt) = self.approx_of(line) else {
+        let Some(ri) = self.approx_region_of(line) else {
             if self.cfg.error_model.ecc_protect_critical {
                 self.counters.faults.ecc_scrubs += 1;
             }
             return;
         };
-        let Some(ri) = self.space.approx_region_index_of_line(line) else {
-            return;
-        };
         let region = self.space.regions()[ri];
+        let dt = region.approx.expect("an approx region has a value type");
         let ctx = FaultCtx {
             region_base: region.base.0,
             block: line.block().0,
@@ -251,7 +250,7 @@ impl System {
             critical_mask: region.critical_mask_of_line(line),
         };
         let mut data = self.mem.read_line(line);
-        let flips = self.dram.corrupt_line(&ctx, kind, &mut data);
+        let flips = self.fault_model.corrupt_line(&ctx, kind, &mut data);
         if flips == 0 {
             return;
         }
@@ -294,7 +293,7 @@ impl System {
         kind: AccessKind,
         now: u64,
     ) {
-        if !self.faults_enabled {
+        if !self.fault_model.injects_faults() {
             return;
         }
         for i in 0..n {
@@ -597,9 +596,9 @@ impl System {
             l1_accesses: self.counters.loads + self.counters.stores,
             l2_accesses: self.l2.stats.hits + self.l2.stats.misses,
             llc_line_accesses: self.llc_line_touches,
-            dram_bytes: self.dram.stats().total_bytes(),
-            dram_activates: self.dram.stats().activates,
-            dram_refreshes: self.dram.stats().refreshes,
+            dram_bytes: self.dram.stats.total_bytes(),
+            dram_activates: self.dram.stats.activates,
+            dram_refreshes: self.dram.stats.refreshes,
             ecc_scrubs: self.counters.faults.ecc_scrubs,
             blocks_compressed,
             blocks_decompressed: self.counters.blocks_decompressed,

@@ -10,19 +10,17 @@
 //! All external times are **CPU cycles**; internally the model runs on the
 //! memory clock (`cpu_cycles_per_mem_clk` converts).
 //!
-//! [`Dram`] is the shared timing engine; the system talks to it through the
-//! pluggable device error-model backends in [`backend`] (exact DRAM,
-//! refresh-relaxed DRAM, approximate MRAM).
+//! [`Dram`] is the one timing engine every device runs on; [`device_for`]
+//! builds it with the device's refresh interval, next to the device's
+//! [`FaultModel`] (exact DRAM, refresh-relaxed DRAM, approximate MRAM; see
+//! [`backend`]).
 
 pub mod backend;
 mod mapping;
 mod stats;
 
-pub use backend::{
-    backend_for, ApproxMram, DramBackend, ExactDram, FaultCtx, FaultRng, FaultStats,
-    RelaxedRefreshDram,
-};
-pub use mapping::AddressMapping;
+pub use backend::{device_for, FaultCtx, FaultModel};
+use mapping::AddressMapping;
 pub use stats::DramStats;
 
 use avr_types::{DramParams, LineAddr, CL_BYTES};
@@ -81,14 +79,6 @@ impl Dram {
             })
             .collect();
         Dram { params, mapping, channels, stats: DramStats::default() }
-    }
-
-    pub fn params(&self) -> &DramParams {
-        &self.params
-    }
-
-    pub fn mapping(&self) -> &AddressMapping {
-        &self.mapping
     }
 
     #[inline]
@@ -181,16 +171,8 @@ impl Dram {
         ch.bus_free_at = data_end;
         bank.ready_at = cas_at + burst; // next column command to this bank
 
-        match kind {
-            AccessKind::Read => {
-                self.stats.reads += 1;
-                self.stats.bytes_read += bytes as u64;
-            }
-            AccessKind::Write => {
-                self.stats.writes += 1;
-                self.stats.bytes_written += bytes as u64;
-            }
-        }
+        self.stats.reads += 1;
+        self.stats.bytes_read += bytes as u64;
         if row_hit {
             self.stats.row_hits += 1;
         } else {

@@ -21,31 +21,6 @@ impl DramStats {
     pub fn total_bytes(&self) -> u64 {
         self.bytes_read + self.bytes_written
     }
-
-    /// Row-buffer hit rate over all accesses.
-    pub fn row_hit_rate(&self) -> f64 {
-        let total = self.row_hits + self.row_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / total as f64
-        }
-    }
-
-    /// Difference of two snapshots (for per-phase accounting).
-    pub fn delta_since(&self, earlier: &DramStats) -> DramStats {
-        DramStats {
-            reads: self.reads - earlier.reads,
-            writes: self.writes - earlier.writes,
-            bytes_read: self.bytes_read - earlier.bytes_read,
-            bytes_written: self.bytes_written - earlier.bytes_written,
-            row_hits: self.row_hits - earlier.row_hits,
-            row_misses: self.row_misses - earlier.row_misses,
-            activates: self.activates - earlier.activates,
-            refreshes: self.refreshes - earlier.refreshes,
-            last_complete: self.last_complete,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -53,31 +28,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn totals_and_rates() {
+    fn total_bytes_sums_both_directions() {
         let s = DramStats {
             reads: 10,
             writes: 5,
             bytes_read: 640,
             bytes_written: 320,
-            row_hits: 12,
-            row_misses: 3,
             ..Default::default()
         };
         assert_eq!(s.total_bytes(), 960);
-        assert!((s.row_hit_rate() - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_hit_rate_is_zero() {
-        assert_eq!(DramStats::default().row_hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn delta_subtracts() {
-        let a = DramStats { reads: 3, bytes_read: 192, ..Default::default() };
-        let b = DramStats { reads: 10, bytes_read: 640, ..Default::default() };
-        let d = b.delta_since(&a);
-        assert_eq!(d.reads, 7);
-        assert_eq!(d.bytes_read, 448);
     }
 }

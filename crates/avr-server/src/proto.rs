@@ -30,7 +30,8 @@ pub enum Request {
     /// Enqueue a batch of cells; the reply acks with the job id, then the
     /// submitting connection streams the job's events.
     Submit { tag: Option<String>, cells: Vec<CellSpec> },
-    /// Queue depth, in-flight job, worker utilization, golden-cache stats.
+    /// Queue depth, in-flight job, worker utilization, golden-cache stats,
+    /// and the server process's resolved `AVR_*` knobs.
     Status,
     /// (Re-)subscribe to a job's event stream, replaying finished cells
     /// with index >= `from` first.

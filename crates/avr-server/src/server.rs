@@ -32,6 +32,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 
 use avr_core::{PoolControl, SimPool};
+use avr_types::knobs::knobs;
 use avr_types::{BenchScale, CellSpec, SystemConfig};
 use avr_workloads::runner::GOLDEN_CELL_BOOST;
 use avr_workloads::{golden, run_on_design_in, workload_by_name, workload_names, Workload};
@@ -596,6 +597,7 @@ fn status(state: &Arc<ServerState>) -> String {
             ]),
         ),
         ("jobs", jobs),
+        ("knobs", Json::obj(knobs().entries().map(|(name, value)| (name, value.into())))),
     ])
     .render()
 }

@@ -155,9 +155,10 @@ pub fn check_thresholds(t1: f64, t2: f64) -> Result<(), ThresholdError> {
     Ok(())
 }
 
-/// Which device error-model backend serves main memory (the `DramBackend`
-/// axis, ROADMAP item 4). All backends share the DDR4 timing engine; they
-/// differ in whether — and how — stored bits decay.
+/// Which device serves main memory (the device axis, ROADMAP item 4). All
+/// devices share the DDR4 timing engine; they differ in its refresh
+/// interval and in whether — and how — stored bits decay
+/// (`avr_dram::device_for`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// Bit-exact storage: today's behaviour, no fault injection.
@@ -192,8 +193,8 @@ impl BackendKind {
 }
 
 /// Device error-model parameters (fault rates, seeding, and the graceful-
-/// degradation budget). Only consulted by the fault-injecting backends;
-/// `ExactDram` ignores everything but `backend`.
+/// degradation budget). Only consulted by the fault-injecting devices;
+/// the exact device ignores everything but `backend`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ErrorModelParams {
     /// Pinned backend. `None` resolves the `AVR_BACKEND` environment knob

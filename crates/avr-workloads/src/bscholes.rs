@@ -88,10 +88,6 @@ impl Workload for BlackScholes {
         &[LayoutKind::Soa, LayoutKind::Aos, LayoutKind::Partitioned]
     }
 
-    fn run(&self, vm: &mut dyn Vm) -> Vec<f64> {
-        self.run_in(vm, LayoutKind::Soa)
-    }
-
     fn run_in(&self, vm: &mut dyn Vm, layout: LayoutKind) -> Vec<f64> {
         let n = self.options;
         // The seven option fields (approximable spot/strike, precise

@@ -93,10 +93,6 @@ impl Workload for Fft {
         &[LayoutKind::Soa, LayoutKind::Aos]
     }
 
-    fn run(&self, vm: &mut dyn Vm) -> Vec<f64> {
-        self.run_in(vm, LayoutKind::Soa)
-    }
-
     fn run_in(&self, vm: &mut dyn Vm, layout: LayoutKind) -> Vec<f64> {
         let n = self.n();
         // Approximable: the complex working arrays, placed by the layout.

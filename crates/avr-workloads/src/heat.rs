@@ -113,10 +113,6 @@ impl Workload for Heat {
         &[LayoutKind::Soa, LayoutKind::Aos]
     }
 
-    fn run(&self, vm: &mut dyn Vm) -> Vec<f64> {
-        self.run_in(vm, LayoutKind::Soa)
-    }
-
     fn run_in(&self, vm: &mut dyn Vm, layout: LayoutKind) -> Vec<f64> {
         let (w, h) = (self.width, self.height);
         let n = w * h;

@@ -77,10 +77,6 @@ impl Workload for KMeans {
         &[LayoutKind::Soa, LayoutKind::Aos]
     }
 
-    fn run(&self, vm: &mut dyn Vm) -> Vec<f64> {
-        self.run_in(vm, LayoutKind::Soa)
-    }
-
     fn run_in(&self, vm: &mut dyn Vm, layout: LayoutKind) -> Vec<f64> {
         let n = self.points;
         let k = self.k;

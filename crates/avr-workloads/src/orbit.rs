@@ -67,10 +67,6 @@ impl Workload for Orbit {
         &[LayoutKind::Soa, LayoutKind::Aos, LayoutKind::Partitioned]
     }
 
-    fn run(&self, vm: &mut dyn Vm) -> Vec<f64> {
-        self.run_in(vm, LayoutKind::Soa)
-    }
-
     fn run_in(&self, vm: &mut dyn Vm, layout: LayoutKind) -> Vec<f64> {
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
         let cells = nx * ny * nz;

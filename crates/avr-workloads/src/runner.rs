@@ -15,31 +15,22 @@ pub trait Workload: Sync {
     /// The paper's benchmark name (figure/table row label).
     fn name(&self) -> &'static str;
 
-    /// Execute against a VM and return the application output values.
-    ///
-    /// Ports that declare a record schema implement this as
-    /// `self.run_in(vm, LayoutKind::Soa)` and put the real body in
-    /// [`Workload::run_in`]; the SoA path must reproduce the historical
-    /// allocation sequence bit-for-bit so goldens stay layout-invariant.
-    fn run(&self, vm: &mut dyn Vm) -> Vec<f64>;
+    /// Execute against a VM under `layout`, one of [`Workload::layouts`],
+    /// and return the application output values. The SoA path must
+    /// reproduce the historical allocation sequence bit-for-bit so goldens
+    /// stay layout-invariant.
+    fn run_in(&self, vm: &mut dyn Vm, layout: LayoutKind) -> Vec<f64>;
 
-    /// Execute under a specific physical data layout. The default rejects
-    /// everything but SoA, so layout-oblivious workloads stay correct
-    /// without changes; schema-declaring ports override this and list
-    /// their supported layouts in [`Workload::layouts`].
-    fn run_in(&self, vm: &mut dyn Vm, layout: LayoutKind) -> Vec<f64> {
-        assert_eq!(
-            layout,
-            LayoutKind::Soa,
-            "{} has no layout-transform port; only SoA is supported",
-            self.name()
-        );
-        self.run(vm)
+    /// Execute in SoA, the layout every workload supports (the golden
+    /// run's path).
+    fn run(&self, vm: &mut dyn Vm) -> Vec<f64> {
+        self.run_in(vm, LayoutKind::Soa)
     }
 
     /// The layouts this workload's schema supports. The grid runner
     /// intersects this with the requested layout axis, so a workload that
-    /// only declares SoA simply contributes one row per design.
+    /// only declares SoA simply contributes one row per design, and
+    /// [`run_on_design_in`] rejects any layout not listed here.
     fn layouts(&self) -> &'static [LayoutKind] {
         &[LayoutKind::Soa]
     }
@@ -180,16 +171,23 @@ pub fn run_on_design(
     run_on_design_in(workload, cfg, design, LayoutKind::Soa)
 }
 
-/// Run `workload` on `design` under `layout`. The golden run is always
-/// taken in SoA on the exact VM — `ExactVm` is lossless, so the reference
-/// output is a layout-invariant property of the workload, and every layout
-/// variant is scored against the same golden.
+/// Run `workload` on `design` under `layout`, which must be one of the
+/// workload's [`Workload::layouts`]. The golden run is always taken in SoA
+/// on the exact VM — `ExactVm` is lossless, so the reference output is a
+/// layout-invariant property of the workload, and every layout variant is
+/// scored against the same golden.
 pub fn run_on_design_in(
     workload: &dyn Workload,
     cfg: &SystemConfig,
     design: DesignKind,
     layout: LayoutKind,
 ) -> RunMetrics {
+    assert!(
+        workload.layouts().contains(&layout),
+        "{} does not declare the {} layout",
+        workload.name(),
+        layout.label()
+    );
     // Golden runs are design-, backend-, and layout-invariant; memoized
     // when the workload provides a key (see `crate::golden`).
     let golden = golden_run(workload);
@@ -413,6 +411,14 @@ mod tests {
         assert!(workload_by_name("heatx", BenchScale::Tiny).is_none());
         assert!(workload_by_name("", BenchScale::Tiny).is_none());
         assert_eq!(workload_names().len(), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "heat does not declare the partitioned layout")]
+    fn run_on_design_in_rejects_an_undeclared_layout() {
+        let heat = workload_by_name("heat", BenchScale::Tiny).unwrap();
+        let cfg = avr_core::SystemConfig::tiny();
+        run_on_design_in(heat.as_ref(), &cfg, DesignKind::Avr, LayoutKind::Partitioned);
     }
 
     #[test]

@@ -96,10 +96,6 @@ impl Workload for Sobel {
         &[LayoutKind::Soa, LayoutKind::Aos, LayoutKind::Partitioned]
     }
 
-    fn run(&self, vm: &mut dyn Vm) -> Vec<f64> {
-        self.run_in(vm, LayoutKind::Soa)
-    }
-
     fn run_in(&self, vm: &mut dyn Vm, layout: LayoutKind) -> Vec<f64> {
         let (w, h) = (self.width, self.height);
         let n = w * h;

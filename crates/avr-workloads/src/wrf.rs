@@ -70,10 +70,6 @@ impl Workload for Wrf {
         &[LayoutKind::Soa, LayoutKind::Aos]
     }
 
-    fn run(&self, vm: &mut dyn Vm) -> Vec<f64> {
-        self.run_in(vm, LayoutKind::Soa)
-    }
-
     fn run_in(&self, vm: &mut dyn Vm, layout: LayoutKind) -> Vec<f64> {
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
         let cells = nx * ny * nz;

@@ -57,7 +57,7 @@ impl Workload for MovingAverage {
         "moving_average"
     }
 
-    // Optional: `run` below is a pure function of `samples`, so the exact
+    // Optional: `run_in` below is a pure function of `samples`, so the exact
     // golden run this design comparison needs twice (once per
     // `run_on_design` call) can be memoized — computed once, shared across
     // designs/backends, bit-identical to recomputing. Omit this (the
@@ -79,10 +79,8 @@ impl Workload for MovingAverage {
         &[LayoutKind::Soa, LayoutKind::Aos, LayoutKind::Partitioned]
     }
 
-    fn run(&self, vm: &mut dyn Vm) -> Vec<f64> {
-        self.run_in(vm, LayoutKind::Soa)
-    }
-
+    // Required: the kernel itself, under any layout listed above. The
+    // provided `run` calls it in SoA.
     fn run_in(&self, vm: &mut dyn Vm, layout: LayoutKind) -> Vec<f64> {
         let n = self.samples;
         // The schema placed by the requested layout: field addressing from

@@ -9,6 +9,7 @@ use std::time::Duration;
 
 use avr::arch::{DesignKind, LayoutKind, SimPool, SystemConfig};
 use avr::server::{metrics_to_json, Client, Json, SweepServer, MAX_LINE_BYTES};
+use avr::types::knobs::knobs;
 use avr::types::{BackendKind, BenchScale, CellSpec};
 use avr::workloads::{all_benchmarks, run_grid_layouts, GridRun};
 
@@ -271,6 +272,21 @@ fn oversized_and_non_utf8_request_lines_get_errors_and_the_connection_lives_on()
     let status = reply();
     assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true), "{status:?}");
     assert!(status.get("phase").is_some(), "{status:?}");
+    // The status records the server process's resolved knob snapshot.
+    let snapshot = status.get("knobs").unwrap_or_else(|| panic!("{status:?}"));
+    let names = [
+        "AVR_NO_SIMD",
+        "AVR_NO_BATCHED_WALK",
+        "AVR_BACKEND",
+        "AVR_THREADS",
+        "AVR_SCALE",
+        "AVR_BENCH_FAST",
+    ];
+    for name in names {
+        assert!(snapshot.get(name).and_then(Json::as_str).is_some(), "{name}: {snapshot:?}");
+    }
+    let backend = snapshot.get("AVR_BACKEND").and_then(Json::as_str);
+    assert_eq!(backend, Some(knobs().backend.label()), "{snapshot:?}");
     // A submit on the same connection still runs to completion.
     w.write_all(b"{\"cmd\":\"submit\",\"cells\":[{\"workload\":\"heat\"}]}\n").unwrap();
     let ack = reply();
