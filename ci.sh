@@ -41,15 +41,16 @@
 #                         cell to a direct run), plus the sweep_server
 #                         binary driven over a real socket
 #   ./ci.sh perf          bench smoke: bench_e2e --smoke gated against the
-#                         committed BENCH_PR16.json + codec kernel smoke
+#                         committed BENCH_PR20.json + codec kernel smoke
 #                         (AVR_BENCH_FAST=1) + every table/figure and the
 #                         ablation at tiny scale, then the same figures
 #                         rerun under AVR_NO_SIMD=1, AVR_NO_BATCHED_WALK=1
 #                         and AVR_THREADS=1, failing on any byte difference
 #   ./ci.sh quick         fast local pre-commit check (lint + release tests)
 #
-# Every stage prints its wall time on completion (run_stage), so a slow CI
-# leg is attributable to a stage instead of to "the job".
+# Every stage stops at its first failing command and fails the run, and
+# prints its wall time, pass or fail (run_stage), so a slow CI leg is
+# attributable to a stage instead of to "the job".
 #
 # The test-* legs select an alternate implementation through an AVR_*
 # knob. The simulator resolves every knob once per process, in
@@ -64,18 +65,28 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# Run one named stage function and report its wall time, pass or fail.
-run_stage() {
-    local stage="$1" fn="$2" t0 t1 rc=0
-    t0=$SECONDS
-    "$fn" || rc=$?
-    t1=$SECONDS
-    if [ "$rc" -eq 0 ]; then
-        echo "==> stage ${stage}: ok in $((t1 - t0))s"
-    else
-        echo "==> stage ${stage}: FAILED after $((t1 - t0))s" >&2
+# The stage running now and its start time, for the failure report.
+stage_name=""
+stage_t0=0
+report_failure() {
+    local rc=$?
+    if [ "$rc" -ne 0 ] && [ -n "$stage_name" ]; then
+        echo "==> stage ${stage_name}: FAILED after $((SECONDS - stage_t0))s" >&2
     fi
-    return "$rc"
+}
+trap report_failure EXIT
+
+# Run one named stage function and report its wall time. The function is
+# called as a plain command, so `set -e` ends the script at the stage's
+# first failing command and the EXIT trap reports the stage. (Under `||`,
+# `&&`, `if` or `!`, bash ignores `set -e` inside the function, and only
+# its last command could fail the stage.)
+run_stage() {
+    stage_name="$1"
+    stage_t0=$SECONDS
+    "$2"
+    echo "==> stage ${stage_name}: ok in $((SECONDS - stage_t0))s"
+    stage_name=""
 }
 
 lint() {
@@ -230,24 +241,19 @@ PYEOF
 }
 
 perf() {
-    echo "==> perf smoke: end-to-end blocks/s vs committed BENCH_PR16.json"
+    echo "==> perf smoke: end-to-end blocks/s vs committed BENCH_PR20.json"
     # Fails when any workload's blocks/s regresses > 25 % against the
-    # committed trajectory baseline (median-calibrated: uniform machine
-    # speed cancels), and hard-fails on workload/backend/layout/design
-    # set drift; the JSON is uploaded as a CI artifact. The baseline is
-    # BENCH_PR16.json — the trajectory recorded after the AVR path began
-    # doing its work once (the codec memo in `Compressor`, one-probe
-    # `AvrLlc` sets with tag back-pointers), with the per-design section
-    # (the full `DesignKind::ALL` set including the memoization family)
-    # alongside the ten-workload suite and the per-backend and per-layout
-    # sections, so the smoke gate exercises every design's engine path on
-    # every run (the sweep server's loopback cost is the repository
-    # benchmark's server-mixed workload, not a bench_e2e section); on a
-    # multi-core
-    # runner the gate also fails if the pooled Table 4 sweep is slower
-    # than single-thread (the ROADMAP re-gate rule applies).
+    # committed trajectory baseline, and hard-fails on
+    # workload/backend/layout/design set drift; the JSON is uploaded as a
+    # CI artifact. The smoke run times every cell of the tiny table (the
+    # ten workloads, every backend, layout and design) in interleaved
+    # rounds, and the gate calibrates each round against its own median,
+    # so host-speed drift during the run cancels. The baseline is
+    # BENCH_PR20.json, the first recording measured that way. On a
+    # multi-core runner the gate also fails if the pooled design grid is
+    # slower than its single-thread time.
     cargo run --release -p avr-bench --bin bench_e2e -- \
-        --smoke --check BENCH_PR16.json --out bench-e2e-smoke.json
+        --smoke --check BENCH_PR20.json --out bench-e2e-smoke.json
 
     echo "==> codec kernel smoke (reference vs fused, shrunk measurement)"
     # AVR_BENCH_FAST is a flag: any value but empty or 0 shrinks the run.

@@ -1,20 +1,20 @@
-//! End-to-end simulation-rate benchmark: drives the full workload suite
-//! (the paper's seven, the extensions, and `particles`) through
-//! the `SimPool` engine and emits a machine-readable `BENCH_<tag>.json`
-//! recording **blocks/s per workload** — the whole-simulator throughput the
-//! perf trajectory tracks beyond the codec kernels (ROADMAP).
+//! End-to-end simulation-rate benchmark: times the workload suite's
+//! simulation cells and emits a machine-readable `BENCH_<tag>.json`
+//! recording **blocks/s** per workload, per device backend, per memory
+//! layout and per design — the whole-simulator throughput the perf
+//! trajectory tracks beyond the codec kernels (ROADMAP).
 //!
 //! The file is one line of JSON, written and read back through
 //! [`avr_server::Json`].
 //!
-//! One "block" is the AVR 1 KB memory-block unit: a workload's block count
-//! is its simulated DRAM traffic in 1 KB units, which is deterministic for
-//! a fixed (workload, design, scale); the wall clock is the only measured
-//! quantity. Each workload entry times the *full* end-to-end pipeline —
-//! golden run, timed AVR-design simulation, and the parallel Table 4
-//! compression summary. A PR that intentionally changes simulation speed
-//! (or the simulated traffic) should regenerate and commit the next
-//! `BENCH_PRn.json` and point CI's `--check` at it.
+//! One "block" is the AVR 1 KB memory-block unit: a cell's block count is
+//! its simulated DRAM traffic in 1 KB units, which is deterministic for a
+//! fixed (workload, design, layout, backend, scale); the wall clock is the
+//! only measured quantity. A cell's time covers its timed simulation, the
+//! end-of-run Table 4 compression summary and the output-error scoring;
+//! golden runs are primed once before any timing. A PR that intentionally
+//! changes simulation speed (or the simulated traffic) should regenerate
+//! and commit the next `BENCH_PRn.json` and point CI's `--check` at it.
 //!
 //! ```text
 //! bench_e2e [--smoke] [--check BASELINE.json] [--out PATH]
@@ -24,467 +24,372 @@
 //!   sections — the committed BENCH_PRn.json trajectory files come from
 //!   this mode;
 //! * `--smoke`: tiny scale only — CI's perf gate;
-//! * `--check B.json`: after measuring, compare this run's smoke section
-//!   against `B.json`'s and exit non-zero if any workload's blocks/s
-//!   regressed more than the 25 % budget. Ratios are **median-calibrated**
-//!   first: each workload's current/baseline ratio is divided by the
-//!   median ratio across all workloads, so a uniform machine-speed
-//!   difference (a slower CI runner, host frequency drift) cancels out and
-//!   the gate fires on *differential* regressions — one workload's engine
-//!   path getting slower — which is what a committed-baseline gate can
-//!   actually detect across machines. A uniform drift beyond the budget is
-//!   reported loudly but does not fail the gate. Workloads are paired
-//!   **by name**: an entry present on only one side (a PR adding or
-//!   retiring a workload without regenerating the baseline) **fails the
-//!   gate** — set drift means the committed trajectory no longer describes
-//!   the suite, so the fix is to commit the next `BENCH_PRn.json`, never
-//!   to let the gate skip quietly. The device error-model **backend set**
-//!   (see below) is held to the same standard. A baseline entry of
-//!   0 blocks/s fails the gate as a corrupt trajectory file instead of
-//!   being divided by. The baseline is read before measuring, so an
-//!   unreadable or corrupt one fails at once.
+//! * `--check B.json`: after measuring, gate this run's smoke section
+//!   against `B.json`'s (see "The gate").
 //!
-//! The Table 4 sweep (the full suite × AVR) is also timed on one
-//! thread vs. the pool so the engine's scaling is part of the record.
+//! # One table, timed in rounds
 //!
-//! Each section also carries a **backend axis**: the suite × AVR
-//! grid re-run under every device error-model backend (exact, relaxed
-//! DRAM, approximate MRAM) at that backend's default fault rates,
-//! recording aggregate blocks/s plus the injected-fault/degradation
-//! counters — the robustness trajectory next to the throughput one.
+//! A section builds one table of the distinct (workload, design, layout,
+//! backend) cells its four axes need — 104 at tiny scale:
 //!
-//! Each section also carries a **layout axis** (PR 8): the suite × AVR
-//! grid re-run once per memory layout (`soa`, `aos`, `partitioned`), each
-//! entry recording aggregate blocks/s, the compressible-block fraction
-//! (`compressible_blocks / approx_blocks` — the granularity-gap headline:
-//! AoS interleaving collapses it on multi-field records), and the mean
-//! output error across the workloads that support the layout. The layout
-//! set is gated against the baseline exactly like the workload and backend
-//! sets, so the smoke gate always exercises the non-default layouts.
+//! * `workloads`: each workload on AVR (SoA, default backend) — the ten
+//!   cells the gate reads;
+//! * `backends`: the suite on AVR under each device error model (exact,
+//!   relaxed DRAM, approximate MRAM) at its default fault rates, with the
+//!   injected-fault and degradation counters;
+//! * `layouts`: the suite on AVR under each memory layout (`soa`, `aos`,
+//!   `partitioned`), over the workloads that declare it, with the
+//!   compressible-block fraction (`compressible_blocks / approx_blocks` —
+//!   the granularity-gap headline) and the mean output error;
+//! * `designs`: the suite on each `DesignKind::ALL` design, with the
+//!   memo hit/serve/elide counters.
 //!
-//! Each section also carries a **design axis** (PR 10): the full suite
-//! re-run once per `DesignKind::ALL` design — every policy the
-//! `DesignPolicy` layer constructs, including the memoization family —
-//! each entry recording aggregate blocks/s plus the memo hit/serve/elide
-//! counters. The design set is gated against the baseline exactly like
-//! the other axes: adding a design without regenerating the committed
-//! trajectory fails `--check`.
+//! A cell several axes share (a workload's cell is also in `backends`'
+//! exact entry, `layouts`' soa entry and `designs`' AVR entry) is one
+//! table cell. One routine ([`time_rounds`]) times the table in
+//! interleaved rounds: each round runs every gated cell once and, in the
+//! first rounds only, every other cell once, each group starting further
+//! along than in the round before. A change in host speed then lands on
+//! all cells of a round alike instead of on a stretch of neighbours. Every
+//! axis entry's `wall_ms` is the sum of its cells' median times.
 //!
-//! # Host-width provenance and the scaling curve
+//! The `scaling` object is the design axis's 70-cell grid: its 1-thread
+//! point is the sum of those cells' medians, and its pooled points (2, 4
+//! and, on wider pools, the pool's width) are the only extra runs — one
+//! `run_grid` each, which must reproduce every cell's cycles.
 //!
-//! The top-level `host` object records `available_parallelism` and the
-//! pool width the sweep timings used. The PR-2..PR-6 trajectory files
-//! recorded `pool_threads: 4` with sweep speedups of 0.94–0.97× and *no
-//! way to tell* whether that was an engine regression or a
-//! 1-hardware-thread recording container time-slicing four workers (it
-//! was the latter, plus real engine overhead — see PERFORMANCE.md).
-//! `--check` now warns loudly when the baseline and the current host
-//! widths differ, and on a multi-core host **fails** if the pooled
-//! Table 4 sweep is slower than single-thread.
+//! # The gate
 //!
-//! Each section also carries a `scaling` object: the full nine-workload ×
-//! five-design grid timed at 1/2/4/N threads (golden runs pre-warmed into
-//! the memoization cache so the curve measures the *engine*, not the
-//! share of golden recomputation the cache already removed), plus a
-//! per-workload single-vs-pooled speedup over that workload's five-design
-//! column.
+//! `--check` reads and validates the baseline before measuring, so an
+//! unreadable or corrupt one fails at once. After measuring it fails on:
 //!
-//! The `host` object also records every resolved `AVR_*` knob
-//! (`avr_types::knobs`). Files up to `BENCH_PR16.json` also carry a
-//! top-level `server` object, which `--check` ignores; the repository
-//! benchmark's `server-mixed` workload times the sweep server.
+//! * **set drift**: workloads, backends, layouts and designs are paired by
+//!   name, and an entry present on one side only (a PR adding or retiring
+//!   one without regenerating the baseline) fails — the fix is to commit
+//!   the next `BENCH_PRn.json`, never to let the gate skip quietly. A
+//!   baseline workload recording 0 blocks/s fails as a corrupt file;
+//! * a **differential regression**: in each gate round, every workload's
+//!   blocks/s over its baseline blocks/s is divided by that round's median
+//!   ratio, so a uniform host-speed difference (a slower CI runner, drift
+//!   within the run) cancels; a workload whose median calibrated ratio over
+//!   the rounds is below the 25 % budget fails ([`calibrate`]). A uniformly
+//!   slower host is reported loudly, not failed;
+//! * on a host with ≥ 2 cores, a pooled design grid slower than its
+//!   1-thread time.
+//!
+//! # Host-width provenance
+//!
+//! The top-level `host` object records `available_parallelism`, the pool
+//! width of the scaling curve and every resolved `AVR_*` knob
+//! (`avr_types::knobs`). `BENCH_PR2.json`–`BENCH_PR6.json` recorded pooled
+//! speedups of 0.94–0.97× with no way to tell an engine regression from a
+//! 1-hardware-thread container time-slicing four workers (it was mostly
+//! the latter — see PERFORMANCE.md); `--check` says when the baseline and
+//! current host widths differ. Files up to `BENCH_PR16.json` also
+//! carry a `table4_sweep` object (the AVR column timed serial vs. pooled)
+//! and a top-level `server` object, which `--check` ignores.
 
 use avr_core::{BackendKind, DesignKind, LayoutKind, SimPool, SystemConfig};
 use avr_server::{base_config, Json};
+use avr_sim::RunMetrics;
 use avr_types::knobs::knobs;
-use avr_workloads::{
-    all_benchmarks, golden_run, run_grid, run_grid_layouts, run_on_design, BenchScale, Workload,
-};
+use avr_workloads::{all_benchmarks, golden_run, run_grid, run_on_design_in, BenchScale, Workload};
 use std::time::Instant;
 
-/// Regression budget for `--check`: fail when a workload's blocks/s drops
-/// below this fraction of the committed baseline.
+/// Regression budget for `--check`: fail when a workload's calibrated
+/// blocks/s drops below this fraction of the committed baseline.
 const GATE_FRACTION: f64 = 0.75;
 
 /// `--check` scaling gate, active only when the *current* host has ≥ 2
-/// cores: the pooled Table 4 sweep must not be slower than single-thread.
+/// cores: the pooled design grid must not be slower than single-thread.
 const SCALING_GATE: f64 = 1.0;
 
-struct WorkloadRate {
-    workload: &'static str,
-    sim_blocks: u64,
-    wall_ms: f64,
+/// How many rounds a section times: the gated workload cells run in every
+/// round, every other cell in the first `table` rounds.
+#[derive(Clone, Copy)]
+struct Rounds {
+    gate: usize,
+    table: usize,
 }
 
-impl WorkloadRate {
-    fn blocks_per_sec(&self) -> f64 {
-        self.sim_blocks as f64 / (self.wall_ms / 1e3).max(1e-9)
+/// A `--smoke` run, which is what CI's `--check` measures (~0.15 s per
+/// gate round and ~1 s per table round on a shared 2-core host).
+const SMOKE_ROUNDS: Rounds = Rounds { gate: 11, table: 3 };
+
+/// A recording's tiny section. Later checks divide by its rates, so its
+/// gated cells run more rounds: in a prototype of this scheme on a noisy
+/// host, 7-round checks false-failed 16 of 552 pairs against 9-round
+/// baselines and none of 1,716 against 18-round ones.
+const RECORD_ROUNDS: Rounds = Rounds { gate: 31, table: 3 };
+
+/// A recording's bench-scale section: not gated, and one pass of its table
+/// takes about a minute.
+const BENCH_ROUNDS: Rounds = Rounds { gate: 1, table: 1 };
+
+/// One distinct simulation of a section's table.
+#[derive(Clone, Copy, PartialEq)]
+struct Cell {
+    /// Index into the section's suite.
+    workload: usize,
+    design: DesignKind,
+    layout: LayoutKind,
+    backend: BackendKind,
+}
+
+/// A table cell's result (the same in every round) and its wall times,
+/// one per round it ran in.
+struct Timed {
+    cell: Cell,
+    metrics: RunMetrics,
+    samples_ms: Vec<f64>,
+}
+
+impl Timed {
+    fn blocks(&self) -> u64 {
+        self.metrics.counters.traffic.total().div_ceil(avr_types::addr::BLOCK_BYTES as u64)
+    }
+
+    fn median_ms(&self) -> f64 {
+        median(&self.samples_ms)
     }
 }
 
-struct SweepTiming {
-    pool_threads: usize,
-    single_thread_ms: f64,
-    pooled_ms: f64,
-}
-
-/// One error-model backend's aggregate grid throughput and fault record.
-struct BackendRate {
-    backend: &'static str,
-    sim_blocks: u64,
-    wall_ms: f64,
-    injected_bit_flips: u64,
-    faulted_lines: u64,
-    retries: u64,
-    degraded_lines: u64,
-    ecc_scrubs: u64,
-}
-
-impl BackendRate {
-    fn blocks_per_sec(&self) -> f64 {
-        self.sim_blocks as f64 / (self.wall_ms / 1e3).max(1e-9)
-    }
-}
-
-/// One design's aggregate grid throughput plus the memoization record
-/// (all-zero outside the memo family).
-struct DesignRate {
-    design: &'static str,
-    sim_blocks: u64,
-    wall_ms: f64,
-    memo_hits: u64,
-    memo_served: u64,
-    memo_elided: u64,
-}
-
-impl DesignRate {
-    fn blocks_per_sec(&self) -> f64 {
-        self.sim_blocks as f64 / (self.wall_ms / 1e3).max(1e-9)
-    }
-}
-
-/// One memory layout's aggregate grid result: throughput plus the
-/// compressibility and output-error record across the workloads that
-/// support the layout.
-struct LayoutRate {
-    layout: &'static str,
-    /// How many of the suite's workloads declare support for this layout.
-    workloads: usize,
-    sim_blocks: u64,
-    wall_ms: f64,
-    approx_blocks: u64,
-    compressible_blocks: u64,
-    error_sum: f64,
-}
-
-impl LayoutRate {
-    fn blocks_per_sec(&self) -> f64 {
-        self.sim_blocks as f64 / (self.wall_ms / 1e3).max(1e-9)
-    }
-
-    /// The layout axis's headline number: what fraction of the scanned
-    /// approximable blocks the codec accepted.
-    fn compressible_fraction(&self) -> f64 {
-        self.compressible_blocks as f64 / (self.approx_blocks as f64).max(1.0)
-    }
-
-    fn mean_output_error(&self) -> f64 {
-        self.error_sum / (self.workloads as f64).max(1.0)
-    }
-}
-
-/// One width's measurement of the full (9 workloads × 5 designs) grid.
-struct ScalingPoint {
-    threads: usize,
-    wall_ms: f64,
-}
-
-/// One workload's five-design column timed single-thread vs. pooled.
-struct WorkloadScaling {
-    workload: &'static str,
-    single_thread_ms: f64,
-    pooled_ms: f64,
-}
-
-/// The engine scaling curve for one section.
-struct Scaling {
-    grid_jobs: usize,
-    points: Vec<ScalingPoint>,
-    max_threads: usize,
-    per_workload: Vec<WorkloadScaling>,
+/// One axis entry: its name and the table cells it sums over.
+struct Entry {
+    name: &'static str,
+    cells: Vec<usize>,
 }
 
 struct Section {
     scale_label: &'static str,
-    workloads: Vec<WorkloadRate>,
-    sweep: SweepTiming,
-    backends: Vec<BackendRate>,
-    layouts: Vec<LayoutRate>,
-    designs: Vec<DesignRate>,
-    scaling: Scaling,
+    rounds: Rounds,
+    table: Vec<Timed>,
+    /// The entries of each [`AXES`] axis.
+    axes: [Vec<Entry>; 4],
+    /// The design grid timed on the pool: `(threads, wall_ms)` per width.
+    pooled: Vec<(usize, f64)>,
 }
 
-/// Time one full (golden + AVR + summary) run per workload, best-of-N so
-/// the trajectory numbers resist noise. Short workloads (sub-10 ms runs)
-/// get extra reps until ~60 ms of total measurement accumulates — a
-/// 0.7 ms tiny-scale run measured only twice would dominate the gate's
-/// flakiness on shared CI runners.
-const MIN_MEASURE_MS: f64 = 60.0;
-/// The *sub-3 ms* tiny workloads (`orbit`, `kmeans`) are the gate's
-/// flakiest point: even best-of-N over 60 ms, their raw ratios swung
-/// ±15 % run-to-run on a busy 1-core host (ROADMAP PR-3 note). Runs that
-/// short accumulate a longer window instead of a bigger budget.
-const TINY_RUN_MS: f64 = 3.0;
-const TINY_MIN_MEASURE_MS: f64 = 240.0;
-/// Hard rep cap: bounds wall time if a workload is pathologically fast
-/// (240 ms / 0.5 ms ≈ 480 would otherwise be possible).
-const MAX_REPS: u32 = 400;
+fn blocks_per_sec(blocks: u64, wall_ms: f64) -> f64 {
+    blocks as f64 / (wall_ms / 1e3).max(1e-9)
+}
 
-fn measure_workloads(
+/// The middle value; the upper of the two middle values for an even count.
+fn median(xs: &[f64]) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
+}
+
+/// The distinct cells the four axes need, and each axis's entries as
+/// indices into them. The workloads axis is built first, so its cells —
+/// the gated ones — lead the table.
+fn table_cells(suite: &[Box<dyn Workload>], backend: BackendKind) -> (Vec<Cell>, [Vec<Entry>; 4]) {
+    let mut cells: Vec<Cell> = Vec::new();
+    let mut entry = |name: &'static str, wanted: Vec<Cell>| Entry {
+        name,
+        cells: wanted
+            .into_iter()
+            .map(|cell| match cells.iter().position(|c| *c == cell) {
+                Some(i) => i,
+                None => {
+                    cells.push(cell);
+                    cells.len() - 1
+                }
+            })
+            .collect(),
+    };
+    // The suite on one (design, layout, backend), over the workloads that
+    // declare the layout.
+    let column = |design, layout, backend| -> Vec<Cell> {
+        (0..suite.len())
+            .filter(|&w| suite[w].layouts().contains(&layout))
+            .map(|workload| Cell { workload, design, layout, backend })
+            .collect()
+    };
+    let avr = DesignKind::Avr;
+    let soa = LayoutKind::Soa;
+    let workloads = (0..suite.len())
+        .map(|w| {
+            entry(suite[w].name(), vec![Cell { workload: w, design: avr, layout: soa, backend }])
+        })
+        .collect();
+    let backends =
+        BackendKind::ALL.iter().map(|&b| entry(b.label(), column(avr, soa, b))).collect();
+    let layouts =
+        LayoutKind::ALL.iter().map(|&l| entry(l.label(), column(avr, l, backend))).collect();
+    let designs =
+        DesignKind::ALL.iter().map(|&d| entry(d.label(), column(d, soa, backend))).collect();
+    (cells, [workloads, backends, layouts, designs])
+}
+
+/// Time the table in interleaved rounds. Every round runs the `gated`
+/// leading cells once and, in the first `rounds.table` rounds, every other
+/// cell once; each group starts a share of its length further along than
+/// in the round before, so every cell takes every part of the round in
+/// turn. Goldens are primed first, so no sample pays for a golden run.
+/// This is the one place that times a single-threaded cell.
+fn time_rounds(
     suite: &[Box<dyn Workload>],
     cfg: &SystemConfig,
-    reps: u32,
-) -> Vec<WorkloadRate> {
-    suite
-        .iter()
-        .map(|w| {
-            let mut best_ms = f64::MAX;
-            let mut total_ms = 0.0;
-            let blocks;
-            let mut rep = 0;
-            loop {
-                let t0 = Instant::now();
-                let m = run_on_design(w.as_ref(), cfg, DesignKind::Avr);
-                let ms = t0.elapsed().as_secs_f64() * 1e3;
-                best_ms = best_ms.min(ms);
-                total_ms += ms;
-                rep += 1;
-                // Sub-3 ms runs keep accumulating to the longer window.
-                let min_ms =
-                    if best_ms < TINY_RUN_MS { TINY_MIN_MEASURE_MS } else { MIN_MEASURE_MS };
-                if rep >= reps && (total_ms >= min_ms || rep >= MAX_REPS) {
-                    // The simulated traffic is deterministic per (workload,
-                    // design, scale): any rep's count is the count.
-                    blocks =
-                        m.counters.traffic.total().div_ceil(avr_types::addr::BLOCK_BYTES as u64);
-                    break;
-                }
-            }
-            WorkloadRate { workload: w.name(), sim_blocks: blocks, wall_ms: best_ms }
-        })
-        .collect()
-}
-
-/// Prime the golden-run memoization cache for every workload in `suite`,
-/// so sweep/scaling timings measure the engine rather than a one-off
-/// cold-cache golden recomputation on whichever width runs first.
-fn prime_goldens(suite: &[Box<dyn Workload>]) {
+    cells: Vec<Cell>,
+    gated: usize,
+    rounds: Rounds,
+) -> Vec<Timed> {
     for w in suite {
         let _ = golden_run(w.as_ref());
     }
-}
-
-/// Time the Table 4 sweep (nine workloads × AVR) single-threaded vs. on
-/// the pool. Best-of-2 per width: a single tiny-scale grid is ~tens of
-/// milliseconds, and the `--check` scaling gate compares these two
-/// numbers directly.
-fn measure_sweep(
-    suite: &[Box<dyn Workload>],
-    cfg: &SystemConfig,
-    pool_threads: usize,
-) -> SweepTiming {
-    let designs = [DesignKind::Avr];
-    prime_goldens(suite);
-    let time_width = |threads: usize| {
-        let mut best_ms = f64::MAX;
-        let mut grid = Vec::new();
-        for _ in 0..2 {
-            let t0 = Instant::now();
-            grid = run_grid(&SimPool::new(threads), suite, cfg, &designs);
-            best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+    let mut table: Vec<Timed> = cells
+        .into_iter()
+        .map(|cell| Timed { cell, metrics: RunMetrics::default(), samples_ms: Vec::new() })
+        .collect();
+    for round in 0..rounds.gate {
+        let (head, tail) = table.split_at_mut(gated);
+        let mut groups = vec![(head, rounds.gate)];
+        if round < rounds.table {
+            groups.push((tail, rounds.table));
         }
-        (best_ms, grid)
-    };
-    let (single_thread_ms, serial) = time_width(1);
-    let (pooled_ms, pooled) = time_width(pool_threads);
-    // The engine's determinism contract, asserted on every bench run.
-    for (a, b) in serial.iter().zip(&pooled) {
-        assert_eq!(
-            a.metrics.cycles, b.metrics.cycles,
-            "{}: pool changed the simulation",
-            a.workload
-        );
+        for (group, group_rounds) in groups {
+            let n = group.len();
+            let start = round * n / group_rounds;
+            for k in 0..n {
+                let t = &mut group[(start + k) % n];
+                let cell = t.cell;
+                let cfg = cfg.clone().with_backend(cell.backend);
+                let t0 = Instant::now();
+                let m =
+                    run_on_design_in(suite[cell.workload].as_ref(), &cfg, cell.design, cell.layout);
+                t.samples_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+                if round == 0 {
+                    t.metrics = m;
+                }
+            }
+        }
     }
-    SweepTiming { pool_threads, single_thread_ms, pooled_ms }
+    table
 }
 
-/// The engine scaling curve: the full (9 workloads × 5 designs) grid at
-/// 1/2/4/N threads, plus each workload's five-design column at 1 vs. max
-/// width. Goldens are pre-warmed (see [`prime_goldens`]); the committed
-/// JSON records the honest result for whatever host ran it — the `host`
-/// provenance object is what makes the number interpretable.
-fn measure_scaling(
+/// Time the design axis's grid once per pooled width (2, 4, and the pool
+/// width when wider). The engine's determinism contract is asserted on
+/// every bench run: each pooled cell reproduces its table cell's cycles.
+fn time_pooled(
     suite: &[Box<dyn Workload>],
     cfg: &SystemConfig,
+    backend: BackendKind,
+    table: &[Timed],
     pool_threads: usize,
-) -> Scaling {
-    let designs = DesignKind::ALL;
-    prime_goldens(suite);
-    let mut widths = vec![1usize, 2, 4];
+) -> Vec<(usize, f64)> {
+    let mut widths = vec![2usize, 4];
     if pool_threads > 4 {
         widths.push(pool_threads);
     }
-    let max_threads = *widths.last().unwrap();
-    let points = widths
-        .iter()
-        .map(|&threads| {
+    widths
+        .into_iter()
+        .map(|threads| {
             let t0 = Instant::now();
-            let grid = run_grid(&SimPool::new(threads), suite, cfg, &designs);
+            let grid = run_grid(&SimPool::new(threads), suite, cfg, &DesignKind::ALL);
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(grid.len(), suite.len() * designs.len());
-            ScalingPoint { threads, wall_ms }
-        })
-        .collect();
-    let per_workload = suite
-        .iter()
-        .map(|w| {
-            let col = std::slice::from_ref(w);
-            let time_width = |threads: usize| {
-                let t0 = Instant::now();
-                let _ = run_grid(&SimPool::new(threads), col, cfg, &designs);
-                t0.elapsed().as_secs_f64() * 1e3
-            };
-            WorkloadScaling {
-                workload: w.name(),
-                single_thread_ms: time_width(1),
-                pooled_ms: time_width(max_threads),
+            for run in &grid {
+                let workload = suite.iter().position(|w| w.name() == run.workload);
+                let cell = Cell {
+                    workload: workload.expect("a suite workload"),
+                    design: run.design,
+                    layout: run.layout,
+                    backend,
+                };
+                let serial = table.iter().find(|t| t.cell == cell).expect("a design-axis cell");
+                assert_eq!(
+                    serial.metrics.cycles,
+                    run.metrics.cycles,
+                    "{} on {}: the pool changed the simulation",
+                    run.workload,
+                    run.design.label()
+                );
             }
-        })
-        .collect();
-    Scaling { grid_jobs: suite.len() * designs.len(), points, max_threads, per_workload }
-}
-
-/// Run the nine-workload × AVR grid once per error-model backend at the
-/// backend's default fault rates, recording aggregate throughput and the
-/// fault/degradation counters the run accumulated.
-fn measure_backends(suite: &[Box<dyn Workload>], cfg: &SystemConfig) -> Vec<BackendRate> {
-    let designs = [DesignKind::Avr];
-    BackendKind::ALL
-        .iter()
-        .map(|&kind| {
-            let cfg = cfg.clone().with_backend(kind);
-            let t0 = Instant::now();
-            let grid = run_grid(&SimPool::new(1), suite, &cfg, &designs);
-            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let mut r = BackendRate {
-                backend: kind.label(),
-                sim_blocks: 0,
-                wall_ms,
-                injected_bit_flips: 0,
-                faulted_lines: 0,
-                retries: 0,
-                degraded_lines: 0,
-                ecc_scrubs: 0,
-            };
-            for e in &grid {
-                let m = &e.metrics;
-                r.sim_blocks +=
-                    m.counters.traffic.total().div_ceil(avr_types::addr::BLOCK_BYTES as u64);
-                let f = &m.counters.faults;
-                r.injected_bit_flips += f.injected_bit_flips;
-                r.faulted_lines += f.faulted_lines;
-                r.retries += f.retries;
-                r.degraded_lines += f.degraded_lines;
-                r.ecc_scrubs += f.ecc_scrubs;
-            }
-            r
+            (threads, wall_ms)
         })
         .collect()
 }
 
-/// Run the full suite once per design (`DesignKind::ALL` — every policy
-/// the `DesignPolicy` layer can construct), recording aggregate blocks/s
-/// and the memoization counters: the design axis of the trajectory, which
-/// keeps the smoke gate exercising every design's engine path including
-/// the memo family's table/window machinery. Single-threaded so the
-/// per-design wall clocks are comparable to each other.
-fn measure_designs(suite: &[Box<dyn Workload>], cfg: &SystemConfig) -> Vec<DesignRate> {
-    prime_goldens(suite);
-    DesignKind::ALL
-        .iter()
-        .map(|&design| {
-            let t0 = Instant::now();
-            let grid = run_grid(&SimPool::new(1), suite, cfg, &[design]);
-            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let mut r = DesignRate {
-                design: design.label(),
-                sim_blocks: 0,
-                wall_ms,
-                memo_hits: 0,
-                memo_served: 0,
-                memo_elided: 0,
-            };
-            for e in &grid {
-                let m = &e.metrics;
-                r.sim_blocks +=
-                    m.counters.traffic.total().div_ceil(avr_types::addr::BLOCK_BYTES as u64);
-                r.memo_hits += m.counters.memo.in_hits;
-                r.memo_served += m.counters.memo.in_served;
-                r.memo_elided += m.counters.memo.out_elided;
-            }
-            r
-        })
-        .collect()
-}
-
-/// Run the suite × AVR grid once per memory layout, aggregating blocks/s,
-/// the compressible-block fraction and the mean output error over the
-/// workloads that support each layout. Single-threaded so the per-layout
-/// wall clocks are comparable to each other.
-fn measure_layouts(suite: &[Box<dyn Workload>], cfg: &SystemConfig) -> Vec<LayoutRate> {
-    let designs = [DesignKind::Avr];
-    prime_goldens(suite);
-    LayoutKind::ALL
-        .iter()
-        .map(|&layout| {
-            let covered = suite.iter().filter(|w| w.layouts().contains(&layout)).count();
-            let t0 = Instant::now();
-            let grid = run_grid_layouts(&SimPool::new(1), suite, cfg, &designs, &[layout]);
-            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(grid.len(), covered, "layout grid covered the wrong workloads");
-            let mut r = LayoutRate {
-                layout: layout.label(),
-                workloads: covered,
-                sim_blocks: 0,
-                wall_ms,
-                approx_blocks: 0,
-                compressible_blocks: 0,
-                error_sum: 0.0,
-            };
-            for e in &grid {
-                let m = &e.metrics;
-                r.sim_blocks +=
-                    m.counters.traffic.total().div_ceil(avr_types::addr::BLOCK_BYTES as u64);
-                r.approx_blocks += m.approx_blocks;
-                r.compressible_blocks += m.compressible_blocks;
-                r.error_sum += m.output_error;
-            }
-            r
-        })
-        .collect()
-}
-
-fn measure_section(scale: BenchScale, reps: u32, pool_threads: usize) -> Section {
+fn measure_section(scale: BenchScale, rounds: Rounds, pool_threads: usize) -> Section {
     let suite = all_benchmarks(scale);
-    let cfg = base_config(scale);
-    Section {
-        scale_label: scale.label(),
-        workloads: measure_workloads(&suite, &cfg, reps),
-        sweep: measure_sweep(&suite, &cfg, pool_threads),
-        backends: measure_backends(&suite, &cfg),
-        layouts: measure_layouts(&suite, &cfg),
-        designs: measure_designs(&suite, &cfg),
-        scaling: measure_scaling(&suite, &cfg, pool_threads),
+    // Pinning the resolved default backend lets a workload's cell and the
+    // same cell in `backends` be one table cell.
+    let backend = knobs().backend;
+    let cfg = base_config(scale).with_backend(backend);
+    let (cells, axes) = table_cells(&suite, backend);
+    let table = time_rounds(&suite, &cfg, cells, suite.len(), rounds);
+    let pooled = time_pooled(&suite, &cfg, backend, &table, pool_threads);
+    Section { scale_label: scale.label(), rounds, table, axes, pooled }
+}
+
+impl Section {
+    /// An entry's simulated blocks and summed median wall time.
+    fn totals(&self, e: &Entry) -> (u64, f64) {
+        let cells = e.cells.iter().map(|&i| &self.table[i]);
+        (cells.clone().map(Timed::blocks).sum(), cells.map(Timed::median_ms).sum())
+    }
+
+    fn sum(&self, e: &Entry, count: impl Fn(&RunMetrics) -> u64) -> u64 {
+        e.cells.iter().map(|&i| count(&self.table[i].metrics)).sum()
+    }
+
+    /// The fields particular to an entry of axis `axis` of [`AXES`].
+    fn extras(&self, axis: usize, e: &Entry) -> Vec<(&'static str, Json)> {
+        let sum = |count: fn(&RunMetrics) -> u64| Json::from(self.sum(e, count));
+        match AXES[axis].0 {
+            "workloads" => vec![("design", DesignKind::Avr.label().into())],
+            "backends" => vec![
+                ("injected_bit_flips", sum(|m| m.counters.faults.injected_bit_flips)),
+                ("faulted_lines", sum(|m| m.counters.faults.faulted_lines)),
+                ("retries", sum(|m| m.counters.faults.retries)),
+                ("degraded_lines", sum(|m| m.counters.faults.degraded_lines)),
+                ("ecc_scrubs", sum(|m| m.counters.faults.ecc_scrubs)),
+            ],
+            "layouts" => {
+                let approx = self.sum(e, |m| m.approx_blocks);
+                let compressible = self.sum(e, |m| m.compressible_blocks);
+                let error: f64 = e.cells.iter().map(|&i| self.table[i].metrics.output_error).sum();
+                vec![
+                    ("workloads", e.cells.len().into()),
+                    ("approx_blocks", approx.into()),
+                    ("compressible_blocks", compressible.into()),
+                    ("compressible_fraction", (compressible as f64 / approx.max(1) as f64).into()),
+                    ("mean_output_error", (error / e.cells.len().max(1) as f64).into()),
+                ]
+            }
+            _ => vec![
+                ("memo_hits", sum(|m| m.counters.memo.in_hits)),
+                ("memo_served", sum(|m| m.counters.memo.in_served)),
+                ("memo_elided", sum(|m| m.counters.memo.out_elided)),
+            ],
+        }
+    }
+
+    /// The design grid's single-thread time and job count.
+    fn one_thread(&self) -> (f64, usize) {
+        let designs = &self.axes[3];
+        (
+            designs.iter().map(|e| self.totals(e).1).sum(),
+            designs.iter().map(|e| e.cells.len()).sum(),
+        )
+    }
+
+    /// The scaling curve: `(threads, wall_ms)`, single-thread first.
+    fn curve(&self) -> Vec<(usize, f64)> {
+        let mut points = vec![(1, self.one_thread().0)];
+        points.extend(&self.pooled);
+        points
+    }
+
+    /// Each gate round's blocks/s of the workloads axis, in axis order.
+    fn gate_rates(&self) -> Vec<Vec<f64>> {
+        (0..self.rounds.gate)
+            .map(|round| {
+                let cells = self.axes[0].iter().map(|e| &self.table[e.cells[0]]);
+                cells.map(|t| blocks_per_sec(t.blocks(), t.samples_ms[round])).collect()
+            })
+            .collect()
     }
 }
 
@@ -499,104 +404,45 @@ const AXES: [(&str, &str); 4] = [
 
 /// This run's entry names per [`AXES`] axis.
 fn axis_names(s: &Section) -> [Vec<&'static str>; 4] {
-    [
-        s.workloads.iter().map(|w| w.workload).collect(),
-        s.backends.iter().map(|b| b.backend).collect(),
-        s.layouts.iter().map(|l| l.layout).collect(),
-        s.designs.iter().map(|d| d.design).collect(),
-    ]
+    s.axes.each_ref().map(|entries| entries.iter().map(|e| e.name).collect())
 }
 
 fn section_json(s: &Section) -> Json {
-    let workloads = s.workloads.iter().map(|w| {
+    let axes = AXES.iter().zip(&s.axes).enumerate().map(|(axis, ((list, key), entries))| {
+        let entries = entries.iter().map(|e| {
+            let (blocks, wall_ms) = s.totals(e);
+            let mut fields = vec![
+                (*key, e.name.into()),
+                ("sim_blocks", blocks.into()),
+                ("wall_ms", wall_ms.into()),
+                ("blocks_per_sec", blocks_per_sec(blocks, wall_ms).into()),
+            ];
+            fields.extend(s.extras(axis, e));
+            Json::obj(fields)
+        });
+        (*list, Json::Arr(entries.collect()))
+    });
+    let curve = s.curve();
+    let points = curve.iter().map(|&(threads, wall_ms)| {
         Json::obj([
-            ("workload", w.workload.into()),
-            ("design", "AVR".into()),
-            ("sim_blocks", w.sim_blocks.into()),
-            ("wall_ms", w.wall_ms.into()),
-            ("blocks_per_sec", w.blocks_per_sec().into()),
+            ("threads", threads.into()),
+            ("wall_ms", wall_ms.into()),
+            ("speedup", (curve[0].1 / wall_ms.max(1e-9)).into()),
         ])
     });
-    let backends = s.backends.iter().map(|b| {
-        Json::obj([
-            ("backend", b.backend.into()),
-            ("sim_blocks", b.sim_blocks.into()),
-            ("wall_ms", b.wall_ms.into()),
-            ("blocks_per_sec", b.blocks_per_sec().into()),
-            ("injected_bit_flips", b.injected_bit_flips.into()),
-            ("faulted_lines", b.faulted_lines.into()),
-            ("retries", b.retries.into()),
-            ("degraded_lines", b.degraded_lines.into()),
-            ("ecc_scrubs", b.ecc_scrubs.into()),
-        ])
-    });
-    let layouts = s.layouts.iter().map(|l| {
-        Json::obj([
-            ("layout", l.layout.into()),
-            ("workloads", l.workloads.into()),
-            ("sim_blocks", l.sim_blocks.into()),
-            ("wall_ms", l.wall_ms.into()),
-            ("blocks_per_sec", l.blocks_per_sec().into()),
-            ("approx_blocks", l.approx_blocks.into()),
-            ("compressible_blocks", l.compressible_blocks.into()),
-            ("compressible_fraction", l.compressible_fraction().into()),
-            ("mean_output_error", l.mean_output_error().into()),
-        ])
-    });
-    let designs = s.designs.iter().map(|d| {
-        Json::obj([
-            ("design", d.design.into()),
-            ("sim_blocks", d.sim_blocks.into()),
-            ("wall_ms", d.wall_ms.into()),
-            ("blocks_per_sec", d.blocks_per_sec().into()),
-            ("memo_hits", d.memo_hits.into()),
-            ("memo_served", d.memo_served.into()),
-            ("memo_elided", d.memo_elided.into()),
-        ])
-    });
-    let sw = &s.sweep;
-    let sc = &s.scaling;
-    let base_ms = sc.points[0].wall_ms;
-    let points = sc.points.iter().map(|p| {
-        Json::obj([
-            ("threads", p.threads.into()),
-            ("wall_ms", p.wall_ms.into()),
-            ("speedup", (base_ms / p.wall_ms.max(1e-9)).into()),
-        ])
-    });
-    let per_workload = sc.per_workload.iter().map(|w| {
-        Json::obj([
-            ("workload", w.workload.into()),
-            ("threads", sc.max_threads.into()),
-            ("single_thread_ms", w.single_thread_ms.into()),
-            ("pooled_ms", w.pooled_ms.into()),
-            ("speedup", (w.single_thread_ms / w.pooled_ms.max(1e-9)).into()),
-        ])
-    });
-    Json::obj([
-        ("scale", s.scale_label.into()),
-        ("workloads", Json::Arr(workloads.collect())),
-        ("backends", Json::Arr(backends.collect())),
-        ("layouts", Json::Arr(layouts.collect())),
-        ("designs", Json::Arr(designs.collect())),
-        (
-            "table4_sweep",
-            Json::obj([
-                ("pool_threads", sw.pool_threads.into()),
-                ("single_thread_ms", sw.single_thread_ms.into()),
-                ("pooled_ms", sw.pooled_ms.into()),
-                ("speedup", (sw.single_thread_ms / sw.pooled_ms.max(1e-9)).into()),
-            ]),
-        ),
+    let mut fields = vec![("scale", s.scale_label.into())];
+    fields.extend(axes);
+    fields.extend([
+        ("rounds", Json::obj([("gate", s.rounds.gate.into()), ("table", s.rounds.table.into())])),
         (
             "scaling",
             Json::obj([
-                ("grid_jobs", sc.grid_jobs.into()),
+                ("grid_jobs", s.one_thread().1.into()),
                 ("points", Json::Arr(points.collect())),
-                ("per_workload", Json::Arr(per_workload.collect())),
             ]),
         ),
-    ])
+    ]);
+    Json::obj(fields)
 }
 
 /// What `--check` reads from a committed trajectory file.
@@ -661,8 +507,30 @@ impl Baseline {
     }
 }
 
+/// The gate's arithmetic. `rounds[r][w]` is workload `w`'s blocks/s in
+/// gate round `r` and `baseline[w]` its baseline blocks/s. In each round,
+/// every workload's ratio to its baseline is divided by the round's median
+/// ratio, so a change in host speed that hits the whole round cancels; a
+/// workload's calibrated ratio is the median of its per-round values, so
+/// one disturbed round does not decide it. Returns the machine-speed
+/// factor (the median of the rounds' median ratios) and each workload's
+/// calibrated ratio.
+fn calibrate(rounds: &[Vec<f64>], baseline: &[f64]) -> (f64, Vec<f64>) {
+    let mut speeds = Vec::with_capacity(rounds.len());
+    let mut calibrated = vec![Vec::with_capacity(rounds.len()); baseline.len()];
+    for rates in rounds {
+        let ratios: Vec<f64> = rates.iter().zip(baseline).map(|(rate, base)| rate / base).collect();
+        let speed = median(&ratios);
+        speeds.push(speed);
+        for (per_round, ratio) in calibrated.iter_mut().zip(&ratios) {
+            per_round.push(ratio / speed);
+        }
+    }
+    (median(&speeds), calibrated.iter().map(|per_round| median(per_round)).collect())
+}
+
 /// The `--check` gate: exits non-zero on set drift, on a differential
-/// blocks/s regression, or on a pooled sweep slower than single-thread.
+/// blocks/s regression, or on a pooled grid slower than single-thread.
 fn check(baseline_path: &str, baseline: &Baseline, smoke: &Section, host_width: usize) {
     let drift = baseline.drift(&axis_names(smoke));
     if !drift.is_empty() {
@@ -673,17 +541,16 @@ fn check(baseline_path: &str, baseline: &Baseline, smoke: &Section, host_width: 
         std::process::exit(1);
     }
     // Without drift every baseline workload ran: pair them by name.
-    let ratios: Vec<(&str, f64, f64)> = baseline.axes[0]
+    let base_bps: Vec<f64> = smoke.axes[0]
         .iter()
-        .map(|(name, base_bps)| {
-            let cur = smoke.workloads.iter().find(|w| w.workload == name).expect("no drift");
-            (name.as_str(), *base_bps, cur.blocks_per_sec() / base_bps)
-        })
+        .map(|e| baseline.axes[0].iter().find(|(name, _)| name == e.name).expect("no drift").1)
         .collect();
-    let mut sorted: Vec<f64> = ratios.iter().map(|r| r.2).collect();
-    sorted.sort_by(f64::total_cmp);
-    let machine_speed = sorted[sorted.len() / 2];
-    eprintln!("GATE: machine-speed factor vs baseline host: {machine_speed:.2}x (median)");
+    let (machine_speed, calibrated) = calibrate(&smoke.gate_rates(), &base_bps);
+    eprintln!(
+        "GATE: machine-speed factor vs baseline host: {machine_speed:.2}x (median over {} \
+         rounds)",
+        smoke.rounds.gate
+    );
     if machine_speed < GATE_FRACTION {
         eprintln!(
             "GATE: WARNING — this host runs the whole suite {:.0} % slower than the \
@@ -692,19 +559,21 @@ fn check(baseline_path: &str, baseline: &Baseline, smoke: &Section, host_width: 
         );
     }
     let mut failed = false;
-    for (name, base_bps, raw) in &ratios {
-        let calibrated = raw / machine_speed;
+    for ((e, base), calibrated) in smoke.axes[0].iter().zip(&base_bps).zip(calibrated) {
+        let (blocks, wall_ms) = smoke.totals(e);
+        let raw = blocks_per_sec(blocks, wall_ms) / base;
         let verdict = if calibrated < GATE_FRACTION { "REGRESSED" } else { "ok" };
         eprintln!(
-            "GATE {name:<10} baseline {base_bps:>12.0}  raw {raw:>5.2}  calibrated \
-             {calibrated:>5.2}  {verdict}"
+            "GATE {:<10} baseline {base:>12.0}  raw {raw:>5.2}  calibrated {calibrated:>5.2}  \
+             {verdict}",
+            e.name
         );
         failed |= calibrated < GATE_FRACTION;
     }
     if failed {
         eprintln!(
             "GATE: a workload's blocks/s regressed more than {:.0} % beyond the \
-             fleet median",
+             round median",
             (1.0 - GATE_FRACTION) * 100.0
         );
         std::process::exit(1);
@@ -712,9 +581,7 @@ fn check(baseline_path: &str, baseline: &Baseline, smoke: &Section, host_width: 
     eprintln!("GATE: all workloads within the {:.0} % budget", (1.0 - GATE_FRACTION) * 100.0);
 
     // Width provenance: a raw speedup comparison across hosts with
-    // different hardware widths is meaningless — say so loudly, every
-    // time, so the PR-2 "1-thread container → speedup ≈ 1×" ambiguity
-    // can never silently recur.
+    // different hardware widths is meaningless — say so every time.
     match baseline.host_width {
         Some(bw) if bw != host_width as u64 => eprintln!(
             "GATE: WARNING — baseline {baseline_path} was recorded at \
@@ -725,33 +592,28 @@ fn check(baseline_path: &str, baseline: &Baseline, smoke: &Section, host_width: 
         Some(bw) => eprintln!("GATE: host width matches baseline ({bw} hardware threads)"),
         None => eprintln!(
             "GATE: WARNING — baseline {baseline_path} predates host-width provenance; \
-             its sweep speedups cannot be attributed to the engine or the recording host"
+             its pooled speedups cannot be attributed to the engine or the recording host"
         ),
     }
-    // Current-host scaling gate: on any multi-core host, a pooled
-    // sweep that loses to single-thread is an engine regression, full
-    // stop — the exact class of failure the 0.94–0.97× trajectory
-    // entries could not flag.
-    let sweep_speedup = smoke.sweep.single_thread_ms / smoke.sweep.pooled_ms.max(1e-9);
-    if host_width >= 2 {
-        if sweep_speedup < SCALING_GATE {
-            eprintln!(
-                "GATE: FAIL — Table 4 sweep pooled speedup {sweep_speedup:.2}x < \
-                 {SCALING_GATE:.2}x on a {host_width}-thread host ({} threads pooled): the \
-                 parallel engine is slower than single-thread",
-                smoke.sweep.pool_threads
-            );
-            std::process::exit(1);
-        }
+    // Current-host scaling gate: on any multi-core host, a pooled grid
+    // that loses to single-thread is an engine regression.
+    let (one_thread_ms, _) = smoke.one_thread();
+    let &(threads, pooled_ms) = smoke.pooled.last().expect("at least two pooled widths");
+    let speedup = one_thread_ms / pooled_ms.max(1e-9);
+    if host_width < 2 {
         eprintln!(
-            "GATE: pooled sweep speedup {sweep_speedup:.2}x on {host_width} hardware \
-             threads — ok"
+            "GATE: single-hardware-thread host — pooled speedup {speedup:.2}x recorded, \
+             scaling gate skipped (needs >= 2 cores)"
         );
+    } else if speedup < SCALING_GATE {
+        eprintln!(
+            "GATE: FAIL — design grid pooled speedup {speedup:.2}x < {SCALING_GATE:.2}x on a \
+             {host_width}-thread host ({threads} threads pooled): the parallel engine is \
+             slower than single-thread"
+        );
+        std::process::exit(1);
     } else {
-        eprintln!(
-            "GATE: single-hardware-thread host — pooled speedup {sweep_speedup:.2}x \
-             recorded, scaling gate skipped (needs >= 2 cores)"
-        );
+        eprintln!("GATE: pooled grid speedup {speedup:.2}x on {host_width} hardware threads — ok");
     }
 }
 
@@ -788,23 +650,18 @@ fn main() {
         }
     });
 
-    let env_pool = SimPool::from_env();
-    // The scaling record always exercises ≥ 4 workers (they time-slice on
+    // The scaling curve always exercises ≥ 4 workers (they time-slice on
     // smaller machines; the JSON records the honest result either way).
-    let sweep_threads = env_pool.threads().max(4);
-    // Host-width provenance: without this, a committed "speedup 0.97×"
-    // from a 1-hardware-thread container is indistinguishable from a real
-    // engine regression (the PR-2..PR-6 ambiguity).
+    let pool_threads = SimPool::from_env().threads().max(4);
     let host_width = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     eprintln!("bench_e2e: smoke section (tiny scale)...");
-    let smoke = measure_section(BenchScale::Tiny, 3, sweep_threads);
-    let full = if smoke_only {
-        None
-    } else {
+    let tiny_rounds = if smoke_only { SMOKE_ROUNDS } else { RECORD_ROUNDS };
+    let smoke = measure_section(BenchScale::Tiny, tiny_rounds, pool_threads);
+    let full = (!smoke_only).then(|| {
         eprintln!("bench_e2e: full section (bench scale)...");
-        Some(measure_section(BenchScale::Bench, 1, sweep_threads))
-    };
+        measure_section(BenchScale::Bench, BENCH_ROUNDS, pool_threads)
+    });
 
     let mut sections = vec![("smoke", section_json(&smoke))];
     if let Some(full) = &full {
@@ -819,7 +676,7 @@ fn main() {
             "host",
             Json::obj([
                 ("available_parallelism", host_width.into()),
-                ("pool_threads", sweep_threads.into()),
+                ("pool_threads", pool_threads.into()),
                 ("knobs", Json::obj(knobs().entries().map(|(name, value)| (name, value.into())))),
             ]),
         ),
@@ -827,77 +684,44 @@ fn main() {
     ]);
 
     for s in [Some(&smoke), full.as_ref()].into_iter().flatten() {
-        eprintln!("-- {} scale --", s.scale_label);
-        for w in &s.workloads {
-            eprintln!(
-                "{:<10} {:>9} blocks  {:>8.1} ms  {:>12.0} blocks/s",
-                w.workload,
-                w.sim_blocks,
-                w.wall_ms,
-                w.blocks_per_sec()
-            );
-        }
-        for b in &s.backends {
-            eprintln!(
-                "backend {:<8} {:>9} blocks  {:>8.1} ms  {:>12.0} blocks/s  \
-                 flips {} retries {} degraded {}",
-                b.backend,
-                b.sim_blocks,
-                b.wall_ms,
-                b.blocks_per_sec(),
-                b.injected_bit_flips,
-                b.retries,
-                b.degraded_lines
-            );
-        }
-        for l in &s.layouts {
-            eprintln!(
-                "layout {:<11} {:>2} workloads {:>9} blocks  {:>8.1} ms  {:>12.0} blocks/s  \
-                 compressible {:.1}% ({}/{})  mean err {:.4}",
-                l.layout,
-                l.workloads,
-                l.sim_blocks,
-                l.wall_ms,
-                l.blocks_per_sec(),
-                100.0 * l.compressible_fraction(),
-                l.compressible_blocks,
-                l.approx_blocks,
-                l.mean_output_error()
-            );
-        }
-        for d in &s.designs {
-            eprintln!(
-                "design {:<10} {:>9} blocks  {:>8.1} ms  {:>12.0} blocks/s  \
-                 memo hits {} served {} elided {}",
-                d.design,
-                d.sim_blocks,
-                d.wall_ms,
-                d.blocks_per_sec(),
-                d.memo_hits,
-                d.memo_served,
-                d.memo_elided
-            );
-        }
-        let sw = &s.sweep;
         eprintln!(
-            "table4 sweep: 1 thread {:.0} ms, {} threads {:.0} ms, speedup {:.2}x",
-            sw.single_thread_ms,
-            sw.pool_threads,
-            sw.pooled_ms,
-            sw.single_thread_ms / sw.pooled_ms.max(1e-9)
+            "-- {} scale: {} cells, {} gate rounds, {} table rounds --",
+            s.scale_label,
+            s.table.len(),
+            s.rounds.gate,
+            s.rounds.table
         );
-        let sc = &s.scaling;
-        let base_ms = sc.points[0].wall_ms;
-        let curve: Vec<String> = sc
-            .points
+        for (axis, ((_, key), entries)) in AXES.iter().zip(&s.axes).enumerate() {
+            for e in entries {
+                let (blocks, wall_ms) = s.totals(e);
+                let extras: Vec<String> = s
+                    .extras(axis, e)
+                    .into_iter()
+                    .map(|(k, v)| match v {
+                        Json::F64(x) => format!("{k} {x:.4}"),
+                        Json::Str(text) => format!("{k} {text}"),
+                        v => format!("{k} {}", v.render()),
+                    })
+                    .collect();
+                eprintln!(
+                    "{key:<8} {:<11} {:>9} blocks {:>8.1} ms {:>10.0} blocks/s  {}",
+                    e.name,
+                    blocks,
+                    wall_ms,
+                    blocks_per_sec(blocks, wall_ms),
+                    extras.join(", ")
+                );
+            }
+        }
+        let curve = s.curve();
+        let points: Vec<String> = curve
             .iter()
-            .map(|p| format!("{}T {:.0} ms ({:.2}x)", p.threads, p.wall_ms, base_ms / p.wall_ms))
+            .map(|&(threads, ms)| format!("{threads}T {ms:.0} ms ({:.2}x)", curve[0].1 / ms))
             .collect();
         eprintln!(
-            "scaling ({} jobs, host width {}): {}",
-            sc.grid_jobs,
-            host_width,
-            curve.join("  ")
+            "scaling ({} jobs, host width {host_width}): {}",
+            s.one_thread().1,
+            points.join("  ")
         );
     }
 
@@ -935,6 +759,7 @@ mod tests {
             (14, 10),
             (15, 10),
             (16, 10),
+            (20, 10),
         ] {
             let b = Baseline::read(&committed(pr)).unwrap();
             assert_eq!(b.axes[0].len(), workloads, "BENCH_PR{pr}");
@@ -951,6 +776,7 @@ mod tests {
             assert_eq!(Baseline::read(&committed(pr)).unwrap().host_width, Some(1), "BENCH_PR{pr}");
         }
         assert_eq!(Baseline::read(&committed(12)).unwrap().host_width, Some(2));
+        assert_eq!(Baseline::read(&committed(20)).unwrap().host_width, Some(2));
     }
 
     #[test]
@@ -979,53 +805,103 @@ mod tests {
         assert!(Baseline::read(&committed(3)).is_err(), "the codec file has no smoke section");
     }
 
+    /// Ten workloads' baseline rates, spread like the tiny suite's.
+    const BASE: [f64; 10] = [1.3e5, 5.3e4, 2.7e4, 6.2e4, 5.0e4, 2.2e5, 1.6e5, 2.9e5, 3.0e5, 4.6e5];
+
+    /// `n` rounds of rates at `speed` times the baseline, with `slow`
+    /// (a workload index) slowed by `factor` in every round.
+    fn rounds_at(speed: f64, n: usize, slow: Option<(usize, f64)>) -> Vec<Vec<f64>> {
+        let round = |_| {
+            let mut rates: Vec<f64> = BASE.iter().map(|b| b * speed).collect();
+            if let Some((w, factor)) = slow {
+                rates[w] /= factor;
+            }
+            rates
+        };
+        (0..n).map(round).collect()
+    }
+
+    #[test]
+    fn a_uniform_drift_cancels() {
+        for speed in [0.5, 2.0] {
+            let (machine_speed, calibrated) = calibrate(&rounds_at(speed, 7, None), &BASE);
+            assert!((machine_speed - speed).abs() < 1e-9, "{machine_speed}");
+            assert!(calibrated.iter().all(|c| (c - 1.0).abs() < 1e-9), "{calibrated:?}");
+        }
+    }
+
+    #[test]
+    fn a_one_and_a_half_times_slowdown_of_one_workload_fails_it_alone() {
+        let (_, calibrated) = calibrate(&rounds_at(2.0, 7, Some((2, 1.5))), &BASE);
+        for (w, c) in calibrated.iter().enumerate() {
+            assert_eq!(*c < GATE_FRACTION, w == 2, "workload {w}: {calibrated:?}");
+        }
+        assert!((calibrated[2] - 1.0 / 1.5).abs() < 1e-9, "{calibrated:?}");
+    }
+
+    #[test]
+    fn one_wild_round_does_not_flip_a_workload() {
+        let mut rounds = rounds_at(1.0, 7, None);
+        // One round where half the suite ran at a third of its speed and
+        // one workload at a tenth.
+        for rate in &mut rounds[3][..5] {
+            *rate /= 3.0;
+        }
+        rounds[3][7] /= 10.0;
+        let (machine_speed, calibrated) = calibrate(&rounds, &BASE);
+        assert!((machine_speed - 1.0).abs() < 1e-9, "{machine_speed}");
+        assert!(calibrated.iter().all(|c| (c - 1.0).abs() < 1e-9), "{calibrated:?}");
+    }
+
     #[test]
     fn a_rendered_section_parses_back_to_the_same_rates() {
+        let timed = |workload, design, layout, backend, blocks: u64, samples_ms: Vec<f64>| {
+            let mut metrics = RunMetrics::default();
+            metrics.counters.traffic.approx_read_bytes =
+                blocks * avr_types::addr::BLOCK_BYTES as u64;
+            metrics.counters.faults.injected_bit_flips = 9;
+            metrics.counters.memo.in_hits = 5;
+            metrics.approx_blocks = 400;
+            metrics.compressible_blocks = 101;
+            metrics.output_error = 0.07;
+            Timed { cell: Cell { workload, design, layout, backend }, metrics, samples_ms }
+        };
+        let (avr, soa, exact) = (DesignKind::Avr, LayoutKind::Soa, BackendKind::Exact);
+        let entry = |name, cells| Entry { name, cells };
         let s = Section {
             scale_label: "tiny",
-            workloads: vec![WorkloadRate { workload: "heat", sim_blocks: 761, wall_ms: 3.7 }],
-            sweep: SweepTiming { pool_threads: 4, single_thread_ms: 12.5, pooled_ms: 7.25 },
-            backends: vec![BackendRate {
-                backend: "relaxed",
-                sim_blocks: 7610,
-                wall_ms: 41.3,
-                injected_bit_flips: 9,
-                faulted_lines: 8,
-                retries: 7,
-                degraded_lines: 1,
-                ecc_scrubs: 2,
-            }],
-            layouts: vec![LayoutRate {
-                layout: "aos",
-                workloads: 10,
-                sim_blocks: 5000,
-                wall_ms: 33.3,
-                approx_blocks: 400,
-                compressible_blocks: 101,
-                error_sum: 0.07,
-            }],
-            designs: vec![DesignRate {
-                design: "memoin",
-                sim_blocks: 3001,
-                wall_ms: 0.9,
-                memo_hits: 5,
-                memo_served: 4,
-                memo_elided: 0,
-            }],
-            scaling: Scaling {
-                grid_jobs: 70,
-                points: vec![ScalingPoint { threads: 1, wall_ms: 700.1 }],
-                max_threads: 4,
-                per_workload: vec![],
-            },
+            rounds: Rounds { gate: 3, table: 1 },
+            table: vec![
+                timed(0, avr, soa, exact, 761, vec![3.7, 3.5, 4.9]),
+                timed(0, avr, soa, BackendKind::RelaxedDram, 770, vec![4.1]),
+                timed(0, avr, LayoutKind::Aos, exact, 5000, vec![33.3]),
+                timed(0, DesignKind::MemoIn, soa, exact, 3001, vec![0.9]),
+            ],
+            axes: [
+                vec![entry("heat", vec![0])],
+                vec![entry("exact", vec![0]), entry("relaxed", vec![1])],
+                vec![entry("aos", vec![2])],
+                vec![entry("AVR", vec![0]), entry("memoin", vec![3])],
+            ],
+            pooled: vec![(2, 2.5), (4, 2.0)],
         };
         let doc = Json::obj([("sections", Json::obj([("smoke", section_json(&s))]))]);
         let b = Baseline::read(&Json::parse(&doc.render()).unwrap()).unwrap();
-        let rate = |name: &str, bps: f64| vec![(name.to_string(), bps)];
-        assert_eq!(b.axes[0], rate("heat", s.workloads[0].blocks_per_sec()));
-        assert_eq!(b.axes[1], rate("relaxed", s.backends[0].blocks_per_sec()));
-        assert_eq!(b.axes[2], rate("aos", s.layouts[0].blocks_per_sec()));
-        assert_eq!(b.axes[3], rate("memoin", s.designs[0].blocks_per_sec()));
+        let rate =
+            |name: &str, blocks: u64, ms: f64| (name.to_string(), blocks_per_sec(blocks, ms));
+        assert_eq!(b.axes[0], vec![rate("heat", 761, 3.7)], "the median of three samples");
+        assert_eq!(b.axes[1], vec![rate("exact", 761, 3.7), rate("relaxed", 770, 4.1)]);
+        assert_eq!(b.axes[2], vec![rate("aos", 5000, 33.3)]);
+        assert_eq!(b.axes[3], vec![rate("AVR", 761, 3.7), rate("memoin", 3001, 0.9)]);
         assert!(b.drift(&axis_names(&s)).is_empty());
+        assert_eq!(s.curve(), vec![(1, 3.7 + 0.9), (2, 2.5), (4, 2.0)]);
+        assert_eq!(
+            s.gate_rates(),
+            vec![
+                vec![blocks_per_sec(761, 3.7)],
+                vec![blocks_per_sec(761, 3.5)],
+                vec![blocks_per_sec(761, 4.9)]
+            ]
+        );
     }
 }

@@ -43,4 +43,4 @@ pub use proto::{
     cell_from_json, cell_to_json, error_response, job_done_event, metrics_to_json, result_event,
     Request,
 };
-pub use server::{base_config, SweepServer, MAX_LINE_BYTES};
+pub use server::{base_config, SweepServer, MAX_LINE_BYTES, MAX_SUBMIT_CELLS};

@@ -26,10 +26,11 @@
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
+use std::time::{Duration, Instant};
 
 use avr_core::{PoolControl, SimPool};
 use avr_types::knobs::knobs;
@@ -249,7 +250,8 @@ impl SweepServer {
 
     /// Serve until drained or shut down. Each connection gets a reader
     /// (requests) and a writer (replies + subscribed events) thread;
-    /// batches execute on the engine thread's pool, one at a time.
+    /// batches execute on the engine thread's pool, one at a time. Returns
+    /// once every session has sent all it holds and closed its socket.
     pub fn run(self) -> std::io::Result<()> {
         let state = self.state;
         let engine = {
@@ -261,15 +263,21 @@ impl SweepServer {
                 let _ = TcpStream::connect(state.addr);
             })
         };
+        // Each live session's socket and thread, for the teardown below.
+        let mut sessions: Vec<(TcpStream, thread::JoinHandle<()>)> = Vec::new();
         for conn in self.listener.incoming() {
             if state.engine_done.load(Ordering::SeqCst) {
                 break;
             }
             let Ok(stream) = conn else { continue };
+            let Ok(socket) = stream.try_clone() else { continue };
+            sessions.retain(|(_, session)| !session.is_finished());
             let state = state.clone();
-            thread::spawn(move || session(&state, stream));
+            sessions.push((socket, thread::spawn(move || session(&state, stream))));
         }
-        engine.join().map_err(|_| std::io::Error::other("engine panicked"))
+        let engine = engine.join().map_err(|_| std::io::Error::other("engine panicked"));
+        close_sessions(sessions);
+        engine
     }
 
     /// Run on a background thread, returning the bound address and the
@@ -404,12 +412,47 @@ fn session(state: &Arc<ServerState>, stream: TcpStream) {
     }
     drop(tx);
     let _ = writer.join();
+    // `run` holds a handle on the socket too, so dropping ours would not
+    // close it: shut it, and the client reads EOF after the last event.
+    let _ = reader.get_ref().shutdown(Shutdown::Both);
+}
+
+/// How long teardown waits for session writers before it cuts the
+/// connections of clients that stopped reading.
+const TEARDOWN_GRACE: Duration = Duration::from_secs(5);
+
+/// End every session once the engine has stopped. Every job is sealed by
+/// then, so each session's outbox already holds its last event and no job
+/// still holds a sender to it. Shutting a socket's read side ends the
+/// session's request loop (the client stays connected); the session then
+/// lets its writer send everything queued and shuts the socket. Nothing
+/// here waits for a client to disconnect: a writer still blocked on a
+/// client that stopped reading after [`TEARDOWN_GRACE`] has its connection
+/// cut.
+fn close_sessions(sessions: Vec<(TcpStream, thread::JoinHandle<()>)>) {
+    for (socket, _) in &sessions {
+        let _ = socket.shutdown(Shutdown::Read);
+    }
+    let deadline = Instant::now() + TEARDOWN_GRACE;
+    while Instant::now() < deadline && sessions.iter().any(|(_, s)| !s.is_finished()) {
+        thread::sleep(Duration::from_millis(5));
+    }
+    for (socket, session) in sessions {
+        let _ = socket.shutdown(Shutdown::Both);
+        let _ = session.join();
+    }
 }
 
 /// The longest request line a session reads, in bytes without its
 /// newline. The largest request an in-repo client sends (a 210-cell
 /// submit) is about 16 KB.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The most cells one `submit` may carry. The largest in-repo batch is the
+/// stacking study's 210 cells; a job keeps ~1.5 KB of rendered results per
+/// cell for the life of the server, so one request line of bare cells
+/// (~43 k fit in [`MAX_LINE_BYTES`]) would otherwise pin ~66 MB.
+pub const MAX_SUBMIT_CELLS: usize = 4096;
 
 /// What [`read_line`] found: a line, a line over the limit (dropped), or
 /// the end of the stream.
@@ -480,8 +523,11 @@ fn submit(
     tx: &mpsc::Sender<Arc<String>>,
 ) -> Result<(), ()> {
     let send = |reply: String| tx.send(Arc::new(reply)).map_err(|_| ());
-    if state.queue.lock().unwrap().phase != Phase::Accepting {
-        return send(proto::error_response("server is draining; submissions are closed"));
+    if cells.len() > MAX_SUBMIT_CELLS {
+        return send(proto::error_response(&format!(
+            "submit of {} cells exceeds the {MAX_SUBMIT_CELLS}-cell limit; split the batch",
+            cells.len()
+        )));
     }
     for (i, spec) in cells.iter().enumerate() {
         let Some(w) = workload_by_name(&spec.workload, spec.scale) else {
@@ -499,6 +545,14 @@ fn submit(
             )));
         }
     }
+    // The phase check and the enqueue share one hold of the queue lock, so
+    // a drain or shutdown cannot slip between them and leave an acked job
+    // that the stopped engine never seals.
+    let mut q = state.queue.lock().unwrap();
+    if q.phase != Phase::Accepting {
+        drop(q);
+        return send(proto::error_response("server is draining; submissions are closed"));
+    }
     let id = state.next_job.fetch_add(1, Ordering::Relaxed) + 1;
     let cell_count = cells.len();
     let job = Arc::new(JobState::new(id, tag, cells));
@@ -514,7 +568,6 @@ fn submit(
         .render(),
     )?;
     job.subscribe(0, tx);
-    let mut q = state.queue.lock().unwrap();
     q.queue.push_back(job);
     state.queue_cv.notify_all();
     Ok(())

@@ -2,13 +2,13 @@
 //! results bit-identical to serial `run_grid_layouts` at any worker
 //! width), reconnect replay, error handling, cancellation, and drain.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
 
 use avr::arch::{DesignKind, LayoutKind, SimPool, SystemConfig};
-use avr::server::{metrics_to_json, Client, Json, SweepServer, MAX_LINE_BYTES};
+use avr::server::{metrics_to_json, Client, Json, SweepServer, MAX_LINE_BYTES, MAX_SUBMIT_CELLS};
 use avr::types::knobs::knobs;
 use avr::types::{BackendKind, BenchScale, CellSpec};
 use avr::workloads::{all_benchmarks, run_grid_layouts, GridRun};
@@ -190,6 +190,12 @@ fn malformed_and_invalid_requests_get_error_replies_without_wedging() {
         "{\"cmd\":\"submit\",\"cells\":[{\"workload\":\"heat\",\"design\":\"memo\"}]}",
     );
     assert!(reply.get("error").unwrap().as_str().unwrap().contains("memo"));
+    // A submit one cell over the limit is refused, and the error names it.
+    let cells = vec!["{\"workload\":\"heat\"}"; MAX_SUBMIT_CELLS + 1].join(",");
+    let reply = send(&mut reader, &format!("{{\"cmd\":\"submit\",\"cells\":[{cells}]}}"));
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false), "{reply:?}");
+    let error = reply.get("error").unwrap().as_str().unwrap();
+    assert!(error.contains(&MAX_SUBMIT_CELLS.to_string()), "{error}");
 
     // The connection is still healthy: valid submits go through — including
     // the memoization designs under their real wire labels.
@@ -394,6 +400,29 @@ fn drain_finishes_queued_work_then_refuses_submissions_and_exits() {
         thread::sleep(Duration::from_millis(20));
     }
     panic!("listener still accepting after drain");
+}
+
+#[test]
+fn a_drain_on_the_submitting_connection_flushes_job_done_then_closes_it() {
+    let server = SweepServer::bind_with("127.0.0.1:0", SimPool::new(1)).unwrap();
+    let (addr, handle) = server.spawn();
+    let stream = TcpStream::connect(addr).unwrap();
+    // A session that outlives the server never closes, and this read times out.
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut w = &stream;
+    w.write_all(b"{\"cmd\":\"submit\",\"cells\":[{\"workload\":\"heat\"}]}\n{\"cmd\":\"drain\"}\n")
+        .unwrap();
+    // The server returns with the client still connected...
+    handle.join().unwrap().unwrap();
+    // ...having sent it everything, then EOF.
+    let mut text = String::new();
+    BufReader::new(&stream).read_to_string(&mut text).expect("every reply, then EOF");
+    let lines: Vec<Json> = text.lines().map(|line| Json::parse(line).unwrap()).collect();
+    let event = |name: &str| {
+        lines.iter().filter(|l| l.get("event").and_then(Json::as_str) == Some(name)).count()
+    };
+    assert_eq!((event("result"), event("job_done")), (1, 1), "{text}");
+    assert!(text.contains("\"completed\":1"), "{text}");
 }
 
 #[test]
