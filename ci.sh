@@ -2,8 +2,10 @@
 # CI gate, split into the stages .github/workflows/ci.yml runs as a matrix
 # (so lint failures report in minutes, not after a full release build):
 #
-#   ./ci.sh               full gate: lint + debug tests + release tests +
-#                         scalar-fallback tests + perf
+#   ./ci.sh               full gate: every stage below except quick, in
+#                         order (lint, test-debug, test-release,
+#                         test-scalar, test-perword, test-relaxed,
+#                         test-pooled, server-smoke, perf)
 #   ./ci.sh lint          rustfmt + clippy -D warnings + cargo doc --no-deps
 #                         (rustdoc warnings denied: the redesigned public
 #                         bulk Vm API stays documented), a check that no
@@ -18,7 +20,8 @@
 #                         release profile matching the workspace's)
 #   ./ci.sh test-scalar   release test suite with AVR_NO_SIMD=1 — the
 #                         process's dispatch table is the portable scalar
-#                         codec arm, so the non-SIMD path can never rot
+#                         codec arm (what a CPU without AVX2 runs), so the
+#                         non-SIMD path can never rot
 #   ./ci.sh test-perword  release test suite with AVR_NO_BATCHED_WALK=1 —
 #                         forces the per-word timed walk (the batched span
 #                         walk's reference semantics) so the equivalence
@@ -29,8 +32,8 @@
 #                         its default rates, so the graceful-degradation
 #                         and criticality-protection paths can never rot
 #   ./ci.sh test-pooled   release test suite with AVR_THREADS=4 — every
-#                         default-width SimPool (grid sweeps, Table 4
-#                         summaries, figure smoke) runs four workers wide,
+#                         default-width SimPool (grid sweeps, figure
+#                         smoke, the sweep server) runs four workers wide,
 #                         so the chunked claiming / weighted scheduling /
 #                         golden-memoization machinery is exercised under
 #                         real concurrency by the whole suite, not only by
@@ -145,8 +148,9 @@ test_scalar() {
     # The knob makes the scalar arm the process's dispatch table, so every
     # Compressor and compress call — the determinism and digest tests
     # included — runs the portable kernels, exactly what a non-x86 host
-    # would execute. The per-arm oracle still covers every arm: it hands
-    # each arm's table to its scratch explicitly.
+    # or an x86-64 CPU without AVX2 would execute. The per-arm oracle
+    # still covers both arms: it hands each arm's table to its scratch
+    # explicitly.
     AVR_NO_SIMD=1 cargo test --release --workspace -q
 }
 

@@ -12,8 +12,8 @@
 //! * **`kernels`** — reference vs. fused whole-codec timing on the
 //!   smooth/spiky/noise blocks, on the auto-dispatched SIMD arm (the
 //!   numbers the PR1→PR2→… trajectory compares);
-//! * **`codec_arms`** — the fused codec re-timed on each arm's dispatch
-//!   table the host supports (scalar / SSE2 / AVX2), so the win of each
+//! * **`codec_arms`** — the fused codec re-timed on each arm's kernel
+//!   table the host supports (scalar / AVX2), so the win of the
 //!   explicit-SIMD backend is part of the record;
 //! * **`simd_kernels`** — per-kernel ns/value microbenchmarks of the four
 //!   dispatched hot loops (`to_fixed_f32`, `downsample_both`,
@@ -109,13 +109,13 @@ fn time_ns(mut f: impl FnMut(), iters: u32, samples: usize, warmup: u32) -> f64 
     median(ns)
 }
 
-/// Fused whole-codec timing on each arm's dispatch table.
+/// Fused whole-codec timing on each arm's kernel table.
 fn measure_codec_arms(kernels: &[(&'static str, BlockData)], fast: bool) -> Vec<ArmMeasurement> {
     let th = Thresholds::paper_default();
     let (iters, samples, warmup) = if fast { (500u32, 9, 1_000u32) } else { (2_000, 21, 5_000) };
     let mut out = Vec::new();
     for arm in simd::supported_arms() {
-        let table = simd::dispatch_kernels_for(arm).expect("supported arm");
+        let table = simd::kernels_for(arm).expect("supported arm");
         for (name, block) in kernels {
             let mut scratch = CompressScratch::with_kernels(table);
             let ns = time_ns(

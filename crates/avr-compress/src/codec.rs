@@ -28,9 +28,9 @@
 //!   [`OutlierVec`]: the steady-state path
 //!   performs **zero heap allocations**;
 //! * the four hot loops (conversion, dual downsample, reconstruction,
-//!   chunked error check) run on the explicit SIMD arm the scratch was
-//!   built with ([`crate::simd`]): SSE2/AVX2 on x86-64, the scalar loops
-//!   everywhere else — all arms bit-identical.
+//!   chunked error check) run on the kernel arm the scratch was built
+//!   with ([`crate::simd`]): AVX2 where the CPU has it, the scalar loops
+//!   everywhere else — both arms bit-identical.
 //!
 //! Failure-order semantics: the size cap is checked before the average
 //! error (the cap is what the early abort can decide without finishing the
@@ -112,8 +112,8 @@ impl CompressScratch {
         Self::with_kernels(simd::kernels())
     }
 
-    /// Scratch on one arm's table, such as
-    /// [`simd::dispatch_kernels_for`]`(arm)`. All arms are bit-identical.
+    /// Scratch on one arm's table, such as [`simd::kernels_for`]`(arm)`.
+    /// Both arms are bit-identical.
     pub const fn with_kernels(kernels: &'static simd::CodecKernels) -> Self {
         CompressScratch {
             kernels,

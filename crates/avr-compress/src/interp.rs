@@ -147,8 +147,8 @@ pub fn reconstruct_into(
 ///
 /// This is the **scalar arm** of the codec's reconstruction dispatch
 /// (handling the full i64 summary domain); the codec reaches it — or its
-/// SSE2/AVX2 twins, which require i32-range summaries — through the
-/// kernel table ([`crate::simd::kernels`]). All arms are bit-identical.
+/// AVX2 twins, which require i32-range summaries — through the kernel
+/// table ([`crate::simd::kernels`]). Both arms are bit-identical.
 pub(crate) fn reconstruct_into_clamped_scalar(
     layout: Layout,
     summary: &[Fixed; SUMMARY_VALUES],

@@ -1,13 +1,12 @@
-//! Explicit-SIMD backends for the codec's four hot loops, behind one
+//! An explicit-SIMD backend for the codec's four hot loops, behind one
 //! runtime dispatch point.
 //!
-//! PR 1 left the fused pipeline as flat chunked loops the autovectorizer
-//! digests at SSE2 width (~2 ns/value, PERFORMANCE.md "Known costs left on
-//! the table"). This module lifts those loops into explicit `std::arch`
-//! x86-64 kernels — an SSE2 baseline (always present on x86-64) and an
-//! AVX2 variant selected at runtime via `is_x86_feature_detected!` — while
-//! retaining the original scalar loops as the portable fallback for every
-//! other architecture and as the oracle the wide arms are tested against.
+//! The fused pipeline's flat chunked loops are left to the autovectorizer
+//! in the scalar arm. This module also carries them as explicit
+//! `std::arch` x86-64 AVX2 kernels, selected at runtime via
+//! `is_x86_feature_detected!`, while the scalar loops stay the portable
+//! fallback (every other CPU, x86-64 without AVX2 included) and the
+//! oracle the AVX2 arm is tested against.
 //!
 //! The four kernels (one [`CodecKernels`] entry each):
 //!
@@ -22,9 +21,9 @@
 //!
 //! ### Bit-identical by construction
 //!
-//! Every kernel is required to be **bit-identical** to the scalar path
-//! (and therefore to `crate::reference::compress_reference`) on all inputs
-//! the pipeline can produce — the per-arm oracle in
+//! Every AVX2 kernel is required to be **bit-identical** to the scalar
+//! path (and therefore to `crate::reference::compress_reference`) on all
+//! inputs the pipeline can produce — the per-arm oracle in
 //! `tests/codec_properties.rs` enforces this over randomized and
 //! adversarial (NaN/Inf/subnormal) blocks. The arithmetic makes that
 //! tractable:
@@ -44,13 +43,13 @@
 //! ### Dispatch
 //!
 //! [`kernels`] is the process's dispatch table. The arm is detected once
-//! (and cached): AVX2 if the CPU reports it, else SSE2 on x86-64, else
-//! scalar. The `AVR_NO_SIMD` knob (`avr_types::knobs`) forces the scalar
-//! fallback (CI runs a leg with it so the portable path cannot rot). The
-//! codec runs on the table its scratch carries
+//! (and cached): AVX2 if the CPU reports it, else scalar. The
+//! `AVR_NO_SIMD` knob (`avr_types::knobs`) forces the scalar fallback (CI
+//! runs a leg with it so the portable path cannot rot). The codec runs on
+//! the table its scratch carries
 //! ([`crate::CompressScratch::with_kernels`]), which is [`kernels`] unless
-//! the caller picks one arm's table from [`dispatch_kernels_for`] or
-//! [`kernels_for`], as the per-arm tests and benches do.
+//! the caller picks one arm's table from [`kernels_for`], as the per-arm
+//! tests and benches do.
 
 use crate::block::SUMMARY_VALUES;
 use avr_types::knobs::knobs;
@@ -58,7 +57,9 @@ use avr_types::VALUES_PER_BLOCK;
 use std::sync::OnceLock;
 
 pub(crate) mod scalar;
+// The AVX2 kernels are `std::arch` intrinsics, which are `unsafe` to call.
 #[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
 mod x86;
 
 /// One dispatch arm of the codec kernels.
@@ -66,9 +67,7 @@ mod x86;
 pub enum SimdArm {
     /// Portable scalar loops (the PR-1 autovectorized path).
     Scalar,
-    /// Explicit 128-bit `std::arch` kernels (x86-64 baseline).
-    Sse2,
-    /// Explicit 256-bit kernels, runtime-detected.
+    /// Explicit 256-bit `std::arch` kernels, runtime-detected.
     Avx2,
 }
 
@@ -77,13 +76,12 @@ impl SimdArm {
     pub fn name(self) -> &'static str {
         match self {
             SimdArm::Scalar => "scalar",
-            SimdArm::Sse2 => "sse2",
             SimdArm::Avx2 => "avx2",
         }
     }
 
     /// All arms, strongest last.
-    pub const ALL: [SimdArm; 3] = [SimdArm::Scalar, SimdArm::Sse2, SimdArm::Avx2];
+    pub const ALL: [SimdArm; 2] = [SimdArm::Scalar, SimdArm::Avx2];
 }
 
 /// Verdict of one 64-value chunk of the fused error check: the chunk's
@@ -114,8 +112,8 @@ pub struct CodecKernels {
     /// Both layouts' sub-block averages in one sweep.
     pub downsample_both:
         fn(&[i32; VALUES_PER_BLOCK], &mut [i64; SUMMARY_VALUES], &mut [i64; SUMMARY_VALUES]),
-    /// 1-D reconstruction fused with the i32 write-out clamp. The wide
-    /// arms require every summary value in i32 range — guaranteed by
+    /// 1-D reconstruction fused with the i32 write-out clamp. The AVX2
+    /// arm requires every summary value in i32 range — guaranteed by
     /// construction for the codec (summaries are sub-block averages of
     /// i32 fixed values); other callers must uphold it or use the scalar
     /// arm, which handles the full i64 domain.
@@ -138,16 +136,6 @@ static SCALAR_KERNELS: CodecKernels = CodecKernels {
 };
 
 #[cfg(target_arch = "x86_64")]
-static SSE2_KERNELS: CodecKernels = CodecKernels {
-    arm: SimdArm::Sse2,
-    to_fixed_f32: x86::to_fixed_f32_sse2,
-    downsample_both: x86::downsample_both_sse2,
-    reconstruct_1d: x86::reconstruct_1d_sse2,
-    reconstruct_2d: x86::reconstruct_2d_sse2,
-    check_chunk_f32: x86::check_chunk_f32_sse2,
-};
-
-#[cfg(target_arch = "x86_64")]
 static AVX2_KERNELS: CodecKernels = CodecKernels {
     arm: SimdArm::Avx2,
     to_fixed_f32: x86::to_fixed_f32_avx2,
@@ -157,31 +145,10 @@ static AVX2_KERNELS: CodecKernels = CodecKernels {
     check_chunk_f32: x86::check_chunk_f32_avx2,
 };
 
-/// The *dispatch* table for SSE2-only hosts: a per-kernel arm mix. The
-/// SSE2 `reconstruct_1d` (a 2-lane f64 lerp) measures *slower* than the
-/// scalar arm's autovectorized integer loop (PERFORMANCE.md, ROADMAP
-/// PR-3 note), so the mix keeps every other kernel on the explicit
-/// 128-bit path and routes the 1-D reconstruction to the scalar loop.
-/// Irrelevant on AVX2 hosts — their dispatch table is pure AVX2. All arms
-/// are bit-identical, so the mix changes performance only; the per-arm
-/// oracle in `tests/codec_properties.rs` and the `equivalence` module
-/// below cover the mixed table alongside the pure ones.
-#[cfg(target_arch = "x86_64")]
-static SSE2_DISPATCH_KERNELS: CodecKernels = CodecKernels {
-    arm: SimdArm::Sse2,
-    to_fixed_f32: x86::to_fixed_f32_sse2,
-    downsample_both: x86::downsample_both_sse2,
-    reconstruct_1d: scalar::reconstruct_1d,
-    reconstruct_2d: x86::reconstruct_2d_sse2,
-    check_chunk_f32: x86::check_chunk_f32_sse2,
-};
-
 /// Does the running CPU support `arm`? (Scalar always does.)
 pub fn arm_supported(arm: SimdArm) -> bool {
     match arm {
         SimdArm::Scalar => true,
-        #[cfg(target_arch = "x86_64")]
-        SimdArm::Sse2 => true,
         #[cfg(target_arch = "x86_64")]
         SimdArm::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
         #[cfg(not(target_arch = "x86_64"))]
@@ -194,10 +161,9 @@ pub fn supported_arms() -> impl Iterator<Item = SimdArm> {
     SimdArm::ALL.into_iter().filter(|&a| arm_supported(a))
 }
 
-/// The *pure* kernel table of a specific arm, if the CPU supports it —
-/// every slot on that arm's explicit kernels. This ignores `AVR_NO_SIMD`
-/// — it is the tests'/benches' direct line to one arm's kernels
-/// (including the SSE2 1-D lerp the dispatch mix avoids).
+/// The kernel table of a specific arm, if the CPU supports it. This
+/// ignores `AVR_NO_SIMD` — it is the tests'/benches' direct line to one
+/// arm's kernels.
 pub fn kernels_for(arm: SimdArm) -> Option<&'static CodecKernels> {
     if !arm_supported(arm) {
         return None;
@@ -205,44 +171,28 @@ pub fn kernels_for(arm: SimdArm) -> Option<&'static CodecKernels> {
     Some(match arm {
         SimdArm::Scalar => &SCALAR_KERNELS,
         #[cfg(target_arch = "x86_64")]
-        SimdArm::Sse2 => &SSE2_KERNELS,
-        #[cfg(target_arch = "x86_64")]
         SimdArm::Avx2 => &AVX2_KERNELS,
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("arm_supported() admits only Scalar off x86-64"),
     })
 }
 
-/// The *dispatch* table of a specific arm: what [`kernels`] actually
-/// serves when that arm is active. Scalar and AVX2 dispatch their pure
-/// tables; SSE2 dispatches the per-kernel mix (scalar 1-D reconstruction,
-/// explicit 128-bit everything else).
-pub fn dispatch_kernels_for(arm: SimdArm) -> Option<&'static CodecKernels> {
-    #[cfg(target_arch = "x86_64")]
-    if arm == SimdArm::Sse2 {
-        return Some(&SSE2_DISPATCH_KERNELS);
-    }
-    kernels_for(arm)
-}
-
-/// Runtime-detected arm: AVX2 > SSE2 > scalar, or scalar when the
-/// `AVR_NO_SIMD` knob is on.
+/// Runtime-detected arm: AVX2 if the CPU reports it, else scalar; scalar
+/// when the `AVR_NO_SIMD` knob is on.
 fn detected_arm() -> SimdArm {
-    if knobs().no_simd {
-        return SimdArm::Scalar;
+    if !knobs().no_simd && arm_supported(SimdArm::Avx2) {
+        SimdArm::Avx2
+    } else {
+        SimdArm::Scalar
     }
-    SimdArm::ALL.into_iter().rev().find(|&a| arm_supported(a)).unwrap_or(SimdArm::Scalar)
 }
 
-/// The process's dispatch table: the *dispatch* table of the detected arm
-/// — a per-kernel arm mix where a wide kernel loses to the scalar loop
-/// (today: the SSE2 1-D reconstruction). Detected once per process.
+/// The process's dispatch table: the kernel table of the detected arm,
+/// detected once per process.
 #[inline]
 pub fn kernels() -> &'static CodecKernels {
     static DISPATCH: OnceLock<&'static CodecKernels> = OnceLock::new();
-    DISPATCH.get_or_init(|| {
-        dispatch_kernels_for(detected_arm()).expect("the detected arm is supported")
-    })
+    DISPATCH.get_or_init(|| kernels_for(detected_arm()).expect("the detected arm is supported"))
 }
 
 #[cfg(test)]
@@ -252,10 +202,10 @@ mod tests {
     #[test]
     fn scalar_is_always_supported_and_dispatch_follows_the_knob() {
         assert!(arm_supported(SimdArm::Scalar));
-        assert!(std::ptr::eq(kernels(), dispatch_kernels_for(detected_arm()).unwrap()));
+        assert!(std::ptr::eq(kernels(), kernels_for(detected_arm()).unwrap()));
         assert_eq!(
             kernels().arm == SimdArm::Scalar,
-            knobs().no_simd || !arm_supported(SimdArm::Sse2)
+            knobs().no_simd || !arm_supported(SimdArm::Avx2)
         );
     }
 
@@ -264,51 +214,21 @@ mod tests {
         for arm in supported_arms() {
             let k = kernels_for(arm).expect("supported arm must have a table");
             assert_eq!(k.arm, arm);
-            let d = dispatch_kernels_for(arm).expect("supported arm must have a dispatch table");
-            assert_eq!(d.arm, arm);
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
+    /// A build for an AVX2 CPU must detect AVX2 at run time; otherwise
+    /// `supported_arms()` shrinks to scalar and every per-arm oracle
+    /// passes while testing one arm.
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
     #[test]
-    fn sse2_is_baseline_on_x86_64() {
-        assert!(arm_supported(SimdArm::Sse2));
-        assert!(kernels_for(SimdArm::Sse2).is_some());
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn sse2_dispatch_is_the_documented_per_kernel_mix() {
-        let pure = kernels_for(SimdArm::Sse2).unwrap();
-        let mix = dispatch_kernels_for(SimdArm::Sse2).unwrap();
-        // The 1-D reconstruction routes to the scalar loop (the SSE2 f64
-        // lerp is slower — ROADMAP PR-3 note)...
-        assert_eq!(mix.reconstruct_1d as usize, SCALAR_KERNELS.reconstruct_1d as usize);
-        assert_ne!(mix.reconstruct_1d as usize, pure.reconstruct_1d as usize);
-        // ...while every other slot keeps the explicit 128-bit kernel.
-        assert_eq!(mix.to_fixed_f32 as usize, pure.to_fixed_f32 as usize);
-        assert_eq!(mix.downsample_both as usize, pure.downsample_both as usize);
-        assert_eq!(mix.reconstruct_2d as usize, pure.reconstruct_2d as usize);
-        assert_eq!(mix.check_chunk_f32 as usize, pure.check_chunk_f32 as usize);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn scalar_and_avx2_dispatch_tables_are_their_pure_tables() {
-        assert!(std::ptr::eq(
-            dispatch_kernels_for(SimdArm::Scalar).unwrap(),
-            kernels_for(SimdArm::Scalar).unwrap()
-        ));
-        if arm_supported(SimdArm::Avx2) {
-            assert!(std::ptr::eq(
-                dispatch_kernels_for(SimdArm::Avx2).unwrap(),
-                kernels_for(SimdArm::Avx2).unwrap()
-            ));
-        }
+    fn avx2_builds_detect_the_avx2_arm() {
+        assert!(arm_supported(SimdArm::Avx2));
+        assert_eq!(supported_arms().last(), Some(SimdArm::Avx2));
     }
 }
 
-/// Kernel-level bit-identity: every wide arm against the scalar oracle on
+/// Kernel-level bit-identity: the AVX2 arm against the scalar oracle on
 /// adversarial inputs (full random bit patterns — NaN/Inf/subnormals —
 /// plus i32 extremes), beyond what pipeline-reachable blocks exercise.
 /// The whole-pipeline per-arm oracle lives in `tests/codec_properties.rs`.
@@ -333,21 +253,12 @@ mod equivalence {
         }
     }
 
-    /// Every non-scalar table the host can execute: each wide arm's pure
-    /// kernels *and* its dispatch mix (deduplicated), so the mixed SSE2
-    /// table is oracled exactly like the pure ones.
+    /// Every non-scalar table the host can execute.
     fn wide_arms() -> Vec<&'static CodecKernels> {
-        let mut tables: Vec<&'static CodecKernels> = Vec::new();
-        for a in supported_arms().filter(|&a| a != SimdArm::Scalar) {
-            for t in
-                [kernels_for(a).expect("supported"), dispatch_kernels_for(a).expect("supported")]
-            {
-                if !tables.iter().any(|have| std::ptr::eq(*have, t)) {
-                    tables.push(t);
-                }
-            }
-        }
-        tables
+        supported_arms()
+            .filter(|&a| a != SimdArm::Scalar)
+            .map(|a| kernels_for(a).expect("supported"))
+            .collect()
     }
 
     /// Random raw words with a heavy dose of specials: NaN payloads, ±Inf,

@@ -1,6 +1,6 @@
 //! The portable scalar arm: the PR-1 fused loops, verbatim. These are the
-//! oracle the explicit SSE2/AVX2 kernels are property-tested against, and
-//! the fallback every non-x86-64 target (or `AVR_NO_SIMD=1`) runs.
+//! oracle the explicit AVX2 kernels are property-tested against, and the
+//! fallback every CPU without AVX2 (or `AVR_NO_SIMD=1`) runs.
 
 use super::{ChunkVerdict, CHUNK};
 use crate::block::SUMMARY_VALUES;

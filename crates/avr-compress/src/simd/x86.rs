@@ -1,11 +1,10 @@
-//! Explicit x86-64 kernels: an SSE2 baseline (part of the x86-64 ISA, no
-//! detection needed) and AVX2 variants (dispatched only after
-//! `is_x86_feature_detected!("avx2")`). Every kernel is bit-identical to
+//! Explicit x86-64 AVX2 kernels, dispatched only after
+//! `is_x86_feature_detected!("avx2")`. Every kernel is bit-identical to
 //! its scalar twin in [`super::scalar`]; see the module docs of
 //! [`crate::simd`] for why the arithmetic guarantees that and the per-arm
 //! oracle in `tests/codec_properties.rs` for the enforcement.
 //!
-//! Numeric notes, shared by both widths:
+//! Numeric notes:
 //!
 //! * `cvtps2dq`/`cvtdq2ps` use the MXCSR default rounding (round to
 //!   nearest, ties to even) — exactly the scalar path's magic-constant
@@ -19,7 +18,14 @@
 //!   the integer lerp is ≤ 2³⁷ in magnitude, exactly representable, and
 //!   power-of-two scales are exact, so `cvttpd` truncation reproduces the
 //!   scalar i64 truncated division bit-for-bit (requires i32-range
-//!   summaries — guaranteed by the pipeline and the dispatch wrapper).
+//!   summaries — guaranteed by the pipeline).
+//!
+//! # Safety
+//!
+//! Every `unsafe fn` here needs AVX2: it is compiled with
+//! `#[target_feature(enable = "avx2")]` or called only from such a
+//! function. The safe wrappers are the module's only entry points, and
+//! the dispatch layer hands out their table only after detection.
 
 use super::{ChunkVerdict, CHUNK};
 use crate::block::SUMMARY_VALUES;
@@ -62,43 +68,8 @@ const W2D: [f64; 4] = [1.0, 3.0, 5.0, 7.0];
 const WA2D: [f64; 4] = [7.0, 5.0, 3.0, 1.0];
 
 // ----------------------------------------------------------------------
-// Safe wrappers: these are what the dispatch tables point at.
+// Safe wrappers: these are what the AVX2 table points at.
 // ----------------------------------------------------------------------
-
-pub(super) fn to_fixed_f32_sse2(words: &[u32; N], bias: i8, out: &mut [i32; N]) {
-    // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-    unsafe { to_fixed_f32_sse2_impl(words, bias, out) }
-}
-
-pub(super) fn downsample_both_sse2(
-    fixed: &[i32; N],
-    out_1d: &mut [i64; SUMMARY_VALUES],
-    out_2d: &mut [i64; SUMMARY_VALUES],
-) {
-    // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-    unsafe { downsample_both_sse2_impl(fixed, out_1d, out_2d) }
-}
-
-pub(super) fn reconstruct_1d_sse2(summary: &[i64; SUMMARY_VALUES], out: &mut [i32; N]) {
-    // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-    unsafe { reconstruct_1d_sse2_impl(summary, out) }
-}
-
-pub(super) fn reconstruct_2d_sse2(summary: &[i64; SUMMARY_VALUES], out: &mut [i32; N]) {
-    // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-    unsafe { reconstruct_2d_sse2_impl(summary, out) }
-}
-
-pub(super) fn check_chunk_f32_sse2(
-    ow: &[u32; CHUNK],
-    rf: &[i32; CHUNK],
-    rw: &mut [u32; CHUNK],
-    neg_bias: i32,
-    mantissa_limit: u32,
-) -> ChunkVerdict {
-    // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-    unsafe { check_chunk_f32_sse2_impl(ow, rf, rw, neg_bias, mantissa_limit) }
-}
 
 pub(super) fn to_fixed_f32_avx2(words: &[u32; N], bias: i8, out: &mut [i32; N]) {
     // SAFETY: the dispatch layer (`kernels_for`/`kernels`) hands out the
@@ -137,43 +108,8 @@ pub(super) fn check_chunk_f32_avx2(
 }
 
 // ----------------------------------------------------------------------
-// 128-bit helpers
+// Helpers
 // ----------------------------------------------------------------------
-
-#[inline(always)]
-unsafe fn select_epi32(mask: __m128i, a: __m128i, b: __m128i) -> __m128i {
-    _mm_or_si128(_mm_and_si128(mask, a), _mm_andnot_si128(mask, b))
-}
-
-/// Vector [`crate::convert::shift_exponent`]: add `delta` to every lane's
-/// exponent field with the same eager-select semantics (overflow clamps to
-/// max finite, zero-exponent input and underflow collapse to signed zero).
-#[inline(always)]
-unsafe fn shift_exponent_epi32(bits: __m128i, delta: __m128i) -> __m128i {
-    let exp_mask = _mm_set1_epi32(0xFF);
-    let e = _mm_and_si128(_mm_srli_epi32(bits, 23), exp_mask);
-    let sign = _mm_and_si128(bits, _mm_set1_epi32(0x8000_0000u32 as i32));
-    let e2 = _mm_add_epi32(e, delta);
-    let r = _mm_or_si128(
-        _mm_and_si128(bits, _mm_set1_epi32(0x807F_FFFFu32 as i32)),
-        _mm_slli_epi32(_mm_and_si128(e2, exp_mask), 23),
-    );
-    let overflow = _mm_cmpgt_epi32(e2, _mm_set1_epi32(254));
-    let r = select_epi32(overflow, _mm_or_si128(sign, _mm_set1_epi32(0x7F7F_FFFF)), r);
-    let collapse = _mm_or_si128(
-        _mm_cmpeq_epi32(e, _mm_setzero_si128()),
-        _mm_cmpgt_epi32(_mm_set1_epi32(1), e2),
-    );
-    select_epi32(collapse, sign, r)
-}
-
-/// Saturating RNE f32→i32 of already-scaled lanes (never NaN).
-#[inline(always)]
-unsafe fn cvt_sat_epi32(scaled: __m128) -> __m128i {
-    let cvt = _mm_cvtps_epi32(scaled);
-    let too_big = _mm_castps_si128(_mm_cmpge_ps(scaled, _mm_set1_ps(I32_OVERFLOW_F32)));
-    _mm_xor_si128(cvt, too_big)
-}
 
 /// Sum the four i32/u32 lanes (no overflow at the call sites' bounds).
 #[inline(always)]
@@ -183,218 +119,15 @@ unsafe fn hsum_epi32(v: __m128i) -> u32 {
     _mm_cvtsi128_si32(s) as u32
 }
 
-/// The integer-lerp tail in f64 lanes: `trunc((num ± half)/step)` (sign
-/// picks the addend, matching the scalar round-to-nearest for truncated
-/// division), clamped to i32 and narrowed. `inv_step` must be a
-/// power-of-two reciprocal so the scale is exact.
-#[inline(always)]
-unsafe fn lerp_tail_pd(num: __m128d, half: __m128d, inv_step: __m128d) -> __m128i {
-    let h = _mm_or_pd(_mm_and_pd(num, _mm_set1_pd(-0.0)), half);
-    let q = _mm_mul_pd(_mm_add_pd(num, h), inv_step);
-    let q = _mm_min_pd(_mm_max_pd(q, _mm_set1_pd(I32_MIN_F64)), _mm_set1_pd(I32_MAX_F64));
-    _mm_cvttpd_epi32(q)
-}
-
-// ----------------------------------------------------------------------
-// SSE2 kernels
-// ----------------------------------------------------------------------
-
-unsafe fn to_fixed_f32_sse2_impl(words: &[u32; N], bias: i8, out: &mut [i32; N]) {
-    let scale = _mm_set1_ps((1u64 << FRAC_BITS) as f32);
-    let exp_mask = _mm_set1_epi32(0xFF);
-    if bias == 0 {
-        for (src, dst) in words.chunks_exact(4).zip(out.chunks_exact_mut(4)) {
-            let v = _mm_loadu_si128(src.as_ptr() as *const __m128i);
-            // NaN/Inf lanes (exponent 255) convert to fixed 0: zero them.
-            let special = _mm_cmpeq_epi32(_mm_and_si128(_mm_srli_epi32(v, 23), exp_mask), exp_mask);
-            let f = _mm_castsi128_ps(_mm_andnot_si128(special, v));
-            let scaled = _mm_mul_ps(f, scale);
-            _mm_storeu_si128(dst.as_mut_ptr() as *mut __m128i, cvt_sat_epi32(scaled));
-        }
-    } else {
-        let delta = _mm_set1_epi32(bias as i32);
-        for (src, dst) in words.chunks_exact(4).zip(out.chunks_exact_mut(4)) {
-            let v = _mm_loadu_si128(src.as_ptr() as *const __m128i);
-            let b = shift_exponent_epi32(v, delta);
-            let scaled = _mm_mul_ps(_mm_castsi128_ps(b), scale);
-            _mm_storeu_si128(dst.as_mut_ptr() as *mut __m128i, cvt_sat_epi32(scaled));
-        }
-    }
-}
-
-unsafe fn downsample_both_sse2_impl(
-    fixed: &[i32; N],
-    out_1d: &mut [i64; SUMMARY_VALUES],
-    out_2d: &mut [i64; SUMMARY_VALUES],
-) {
-    let mut sums_2d = [0i64; SUMMARY_VALUES];
-    for (r, row) in fixed.chunks_exact(GRID).enumerate() {
-        let tile_base = (r / TILE) * (GRID / TILE);
-        let mut s1 = 0i64;
-        for (j, quad) in row.chunks_exact(TILE).enumerate() {
-            let v = _mm_loadu_si128(quad.as_ptr() as *const __m128i);
-            // Sign-extend the four i32 to i64 pairs and add (integer sums
-            // are order-free, so (v0+v2)+(v1+v3) equals the scalar order).
-            let sign = _mm_cmpgt_epi32(_mm_setzero_si128(), v);
-            let pair = _mm_add_epi64(_mm_unpacklo_epi32(v, sign), _mm_unpackhi_epi32(v, sign));
-            let q = _mm_cvtsi128_si64(pair) + _mm_cvtsi128_si64(_mm_unpackhi_epi64(pair, pair));
-            sums_2d[tile_base + j] += q;
-            s1 += q;
-        }
-        out_1d[r] = round_avg(s1);
-    }
-    for (o, &s) in out_2d.iter_mut().zip(&sums_2d) {
-        *o = round_avg(s);
-    }
-}
-
-unsafe fn reconstruct_1d_sse2_impl(summary: &[i64; SUMMARY_VALUES], out: &mut [i32; N]) {
-    let mut sf = [0f64; SUMMARY_VALUES];
-    for (d, &s) in sf.iter_mut().zip(summary) {
-        *d = s as f64; // exact: wrapper guarantees i32 range
-    }
-    out[..8].fill(summary[0] as i32);
-    out[N - 8..].fill(summary[SUMMARY_VALUES - 1] as i32);
-    let half = _mm_set1_pd(16.0);
-    let inv_step = _mm_set1_pd(1.0 / 32.0);
-    for seg in 0..SUMMARY_VALUES - 1 {
-        let a = _mm_set1_pd(sf[seg]);
-        let b = _mm_set1_pd(sf[seg + 1]);
-        let dst = &mut out[8 + seg * 16..8 + seg * 16 + 16];
-        for k in (0..16).step_by(2) {
-            let wa = _mm_loadu_pd(WA1D[k..].as_ptr());
-            let wb = _mm_loadu_pd(W1D[k..].as_ptr());
-            let num = _mm_add_pd(_mm_mul_pd(a, wa), _mm_mul_pd(b, wb));
-            let q = lerp_tail_pd(num, half, inv_step);
-            _mm_storel_epi64(dst[k..].as_mut_ptr() as *mut __m128i, q);
-        }
-    }
-}
-
-/// Horizontal interpolation profiles (`interp::profiles_2d`) in exact f64:
-/// anchor-row `a`'s column interpolation, truncated to its integer value
-/// (profiles stay within the anchors' i32 range, so the i32 round-trip
-/// truncation is lossless).
-#[inline(always)]
-unsafe fn profiles_2d_sse2(sf: &[f64; SUMMARY_VALUES]) -> [[f64; GRID]; GRID / TILE] {
-    let half = _mm_set1_pd(4.0);
-    let inv_step = _mm_set1_pd(1.0 / 8.0);
-    let mut prof = [[0f64; GRID]; GRID / TILE];
-    for (a, row) in prof.iter_mut().enumerate() {
-        let s = &sf[a * (GRID / TILE)..];
-        row[0] = s[0];
-        row[1] = s[0];
-        row[GRID - 2] = s[3];
-        row[GRID - 1] = s[3];
-        for t in 0..GRID / TILE - 1 {
-            let va = _mm_set1_pd(s[t]);
-            let vb = _mm_set1_pd(s[t + 1]);
-            for k in (0..TILE).step_by(2) {
-                let wa = _mm_loadu_pd(WA2D[k..].as_ptr());
-                let wb = _mm_loadu_pd(W2D[k..].as_ptr());
-                let num = _mm_add_pd(_mm_mul_pd(va, wa), _mm_mul_pd(vb, wb));
-                let q = lerp_tail_pd(num, half, inv_step);
-                // Back to exact f64 for the vertical pass.
-                _mm_storeu_pd(row[4 * t + 2 + k..].as_mut_ptr(), _mm_cvtepi32_pd(q));
-            }
-        }
-    }
-    prof
-}
-
-unsafe fn reconstruct_2d_sse2_impl(summary: &[i64; SUMMARY_VALUES], out: &mut [i32; N]) {
-    let mut sf = [0f64; SUMMARY_VALUES];
-    for (d, &s) in sf.iter_mut().zip(summary) {
-        *d = s as f64; // exact: wrapper guarantees i32 range
-    }
-    let prof = profiles_2d_sse2(&sf);
-    // Anchor rows (weight 0) copy their profile; profiles are integral and
-    // in i32 range, so the cast is the scalar clamp-and-narrow.
-    for (r, a) in [(0usize, 0usize), (1, 0), (GRID - 2, 3), (GRID - 1, 3)] {
-        for (o, &p) in out[r * GRID..(r + 1) * GRID].iter_mut().zip(&prof[a]) {
-            *o = p as i32;
-        }
-    }
-    let half = _mm_set1_pd(4.0);
-    let inv_step = _mm_set1_pd(1.0 / 8.0);
-    for t in 0..GRID / TILE - 1 {
-        let (top, bot) = (&prof[t], &prof[t + 1]);
-        for k in 0..TILE {
-            let r = TILE * t + 2 + k;
-            let wb = _mm_set1_pd(W2D[k]);
-            let wa = _mm_set1_pd(WA2D[k]);
-            let dst = &mut out[r * GRID..(r + 1) * GRID];
-            for c in (0..GRID).step_by(2) {
-                let vt = _mm_loadu_pd(top[c..].as_ptr());
-                let vb = _mm_loadu_pd(bot[c..].as_ptr());
-                let num = _mm_add_pd(_mm_mul_pd(vt, wa), _mm_mul_pd(vb, wb));
-                let q = lerp_tail_pd(num, half, inv_step);
-                _mm_storel_epi64(dst[c..].as_mut_ptr() as *mut __m128i, q);
-            }
-        }
-    }
-}
-
-unsafe fn check_chunk_f32_sse2_impl(
-    ow: &[u32; CHUNK],
-    rf: &[i32; CHUNK],
-    rw: &mut [u32; CHUNK],
-    neg_bias: i32,
-    mantissa_limit: u32,
-) -> ChunkVerdict {
-    let scale = _mm_set1_ps(F32_SCALE_F);
-    let delta = _mm_set1_epi32(neg_bias);
-    let exp_mask = _mm_set1_epi32(0xFF);
-    let m23 = _mm_set1_epi32(0x7F_FFFF);
-    let abs_mask = _mm_set1_epi32(0x7FFF_FFFF);
-    let lim = _mm_set1_epi32(mantissa_limit as i32 - 1);
-    let ones = _mm_set1_epi32(-1);
-    let mut bitmap = 0u64;
-    let mut cnt = _mm_setzero_si128();
-    let mut err = _mm_setzero_si128();
-    for i in (0..CHUNK).step_by(4) {
-        // Pass 1 — from_fixed: scale to float and unbias.
-        let v = _mm_loadu_si128(rf[i..].as_ptr() as *const __m128i);
-        let f = _mm_mul_ps(_mm_cvtepi32_ps(v), scale);
-        let w = shift_exponent_epi32(_mm_castps_si128(f), delta);
-        _mm_storeu_si128(rw[i..].as_mut_ptr() as *mut __m128i, w);
-        // Pass 2 — classify (same eager bitwise logic as the scalar arm).
-        let o = _mm_loadu_si128(ow[i..].as_ptr() as *const __m128i);
-        let d = _mm_sub_epi32(_mm_and_si128(o, m23), _mm_and_si128(w, m23));
-        let ds = _mm_srai_epi32(d, 31);
-        let diff = _mm_sub_epi32(_mm_xor_si128(d, ds), ds);
-        let se_match = _mm_cmpeq_epi32(_mm_srli_epi32(o, 23), _mm_srli_epi32(w, 23));
-        let both_zero =
-            _mm_cmpeq_epi32(_mm_and_si128(_mm_or_si128(o, w), abs_mask), _mm_setzero_si128());
-        let neq = _mm_xor_si128(_mm_cmpeq_epi32(o, w), ones);
-        let special = _mm_cmpeq_epi32(_mm_and_si128(_mm_srli_epi32(o, 23), exp_mask), exp_mask);
-        let diff_over = _mm_cmpgt_epi32(diff, lim);
-        let cond = _mm_or_si128(
-            special,
-            _mm_or_si128(
-                _mm_andnot_si128(se_match, _mm_xor_si128(both_zero, ones)),
-                _mm_and_si128(se_match, diff_over),
-            ),
-        );
-        let outlier = _mm_and_si128(neq, cond);
-        // Pass 3 — reduce.
-        bitmap |= (_mm_movemask_ps(_mm_castsi128_ps(outlier)) as u64) << i;
-        cnt = _mm_sub_epi32(cnt, outlier);
-        err = _mm_add_epi32(err, _mm_andnot_si128(outlier, diff));
-    }
-    ChunkVerdict { bitmap, outliers: hsum_epi32(cnt), err_sum: hsum_epi32(err) as u64 }
-}
-
-// ----------------------------------------------------------------------
-// 256-bit helpers
-// ----------------------------------------------------------------------
-
 #[target_feature(enable = "avx2")]
 #[inline]
 unsafe fn select_epi32_256(mask: __m256i, a: __m256i, b: __m256i) -> __m256i {
     _mm256_blendv_epi8(b, a, mask)
 }
 
+/// Vector [`crate::convert::shift_exponent`]: add `delta` to every lane's
+/// exponent field with the same eager-select semantics (overflow clamps to
+/// max finite, zero-exponent input and underflow collapse to signed zero).
 #[target_feature(enable = "avx2")]
 #[inline]
 unsafe fn shift_exponent_epi32_256(bits: __m256i, delta: __m256i) -> __m256i {
@@ -415,6 +148,7 @@ unsafe fn shift_exponent_epi32_256(bits: __m256i, delta: __m256i) -> __m256i {
     select_epi32_256(collapse, sign, r)
 }
 
+/// Saturating RNE f32→i32 of already-scaled lanes (never NaN).
 #[target_feature(enable = "avx2")]
 #[inline]
 unsafe fn cvt_sat_epi32_256(scaled: __m256) -> __m256i {
@@ -430,7 +164,10 @@ unsafe fn hsum_epi32_256(v: __m256i) -> u32 {
     hsum_epi32(_mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v)))
 }
 
-/// 4-lane f64 lerp tail (same contract as [`lerp_tail_pd`]).
+/// The integer-lerp tail in four f64 lanes: `trunc((num ± half)/step)`
+/// (sign picks the addend, matching the scalar round-to-nearest for
+/// truncated division), clamped to i32 and narrowed. `inv_step` must be a
+/// power-of-two reciprocal so the scale is exact.
 #[target_feature(enable = "avx2")]
 #[inline]
 unsafe fn lerp_tail_pd_256(num: __m256d, half: __m256d, inv_step: __m256d) -> __m128i {

@@ -517,13 +517,8 @@ impl DesignPolicy for DecoupledPolicy {
         if blocks.is_empty() || self.kind == DesignKind::ZeroAvr {
             return (1.0, BlockScan::default());
         }
-        let scan = crate::summary::parallel_summary(
-            &sys.mem,
-            &blocks,
-            self.compressor.thresholds,
-            self.compressor.max_lines,
-            sys.summary_threads,
-        );
+        let mut comp = Compressor::new(self.compressor.thresholds, self.compressor.max_lines);
+        let scan = crate::summary::scan_blocks(&mut comp, &sys.mem, &blocks);
         (scan.raw_bytes as f64 / scan.stored_bytes.max(1) as f64, scan)
     }
 

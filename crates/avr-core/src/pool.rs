@@ -17,8 +17,7 @@
 //!   build environment is offline).
 //! * **Composable**: the same engine drives the figure sweeps
 //!   (`avr_bench::Sweep`), the SPMD multicore runner
-//!   ([`crate::multicore::run_multicore_on`]) and the parallel Table 4
-//!   block scan ([`crate::summary`]).
+//!   ([`crate::multicore::run_multicore_on`]) and the sweep server.
 //!
 //! # Scheduling policy
 //!
@@ -56,6 +55,9 @@
 //!   index (`ResultSlots`) — no result mutex, no tag, no final sort;
 //! * claims in chunks (above) so cursor traffic scales with
 //!   `workers × chunks`, not jobs.
+
+// The result slots are written through `UnsafeCell` without a lock.
+#![allow(unsafe_code)]
 
 use avr_types::knobs::knobs;
 use std::cell::UnsafeCell;
@@ -148,10 +150,10 @@ pub fn shard_seed(index: usize) -> u64 {
 /// next to it). 128-byte alignment covers the adjacent-line prefetcher
 /// pairing lines on modern x86 parts.
 #[repr(align(128))]
-pub(crate) struct PaddedCursor(pub(crate) AtomicUsize);
+struct PaddedCursor(AtomicUsize);
 
 impl PaddedCursor {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         PaddedCursor(AtomicUsize::new(0))
     }
 }

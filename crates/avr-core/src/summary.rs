@@ -1,32 +1,17 @@
-//! Parallel end-of-run compression summary (Table 4).
+//! End-of-run compression summary (Table 4).
 //!
 //! `System::finish` re-compresses every approximable block from its final
 //! memory values to report the footprint-weighted compression ratio. The
-//! seed did this serially with a throwaway scratch per block; here the scan
-//! partitions across workers, each owning one [`Compressor`] whose scratch
-//! is reused for every block it claims — so each worker performs **zero
-//! steady-state heap allocations** (`tests/zero_alloc.rs` pins this with a
-//! counting allocator), and the whole scan stays bit-deterministic because
-//! the per-block byte counts are summed with associative integer adds.
+//! scan runs one [`Compressor`] whose scratch is reused for every block,
+//! so it performs **zero steady-state heap allocations**
+//! (`tests/zero_alloc.rs` pins this with a counting allocator).
 
-use crate::pool::PaddedCursor;
-use avr_compress::{Compressor, Thresholds};
+use avr_compress::Compressor;
 use avr_sim::vm::PhysMem;
 use avr_types::addr::BLOCK_BYTES;
 use avr_types::{BlockAddr, DataType, CL_BYTES};
-use std::sync::atomic::Ordering;
-use std::sync::Mutex;
 
-/// Blocks claimed per atomic fetch: large enough to amortize contention,
-/// small enough to load-balance a sweep whose blocks compress unevenly.
-const CLAIM_CHUNK: usize = 32;
-
-/// Below this many blocks the spawn cost dominates; scan inline.
-const PARALLEL_MIN_BLOCKS: usize = 2 * CLAIM_CHUNK;
-
-/// Totals of one end-of-run block scan. All fields are plain sums, so
-/// partial scans merge associatively (the parallel partition cannot change
-/// the result).
+/// Totals of one end-of-run block scan.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BlockScan {
     /// Raw footprint of the scanned blocks (`blocks * 1 KB`).
@@ -38,16 +23,6 @@ pub struct BlockScan {
     /// Blocks the codec accepted. `compressible / blocks` is the
     /// compressible-block fraction the layout axis reports per layout.
     pub compressible: u64,
-}
-
-impl BlockScan {
-    /// Fold another partial scan into this one (plain field sums).
-    pub fn merge(&mut self, other: BlockScan) {
-        self.raw_bytes += other.raw_bytes;
-        self.stored_bytes += other.stored_bytes;
-        self.blocks += other.blocks;
-        self.compressible += other.compressible;
-    }
 }
 
 /// Scan `blocks`, compressing each from its final values in `mem`. The hot
@@ -73,52 +48,10 @@ pub fn scan_blocks(
     scan
 }
 
-/// The parallel block scan: partition `blocks` across `threads` workers
-/// (each with its own reusable [`Compressor`] scratch) and return the
-/// summed [`BlockScan`].
-///
-/// Bit-deterministic for any `threads`: per-block contributions are `u64`
-/// adds, so the partition cannot change the totals.
-pub fn parallel_summary(
-    mem: &PhysMem,
-    blocks: &[(BlockAddr, DataType)],
-    th: Thresholds,
-    max_lines: usize,
-    threads: usize,
-) -> BlockScan {
-    if threads <= 1 || blocks.len() < PARALLEL_MIN_BLOCKS {
-        let mut comp = Compressor::new(th, max_lines);
-        return scan_blocks(&mut comp, mem, blocks);
-    }
-    // The claim cursor rides the pool engine's padded cell so chunk
-    // claims never false-share with the totals mutex or worker stacks.
-    let cursor = PaddedCursor::new();
-    let totals = Mutex::new(BlockScan::default());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                // Worker setup (the only allocations): one compressor whose
-                // scratch then serves every claimed block.
-                let mut comp = Compressor::new(th, max_lines);
-                let mut local = BlockScan::default();
-                loop {
-                    let start = cursor.0.fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
-                    if start >= blocks.len() {
-                        break;
-                    }
-                    let end = (start + CLAIM_CHUNK).min(blocks.len());
-                    local.merge(scan_blocks(&mut comp, mem, &blocks[start..end]));
-                }
-                totals.lock().unwrap().merge(local);
-            });
-        }
-    });
-    totals.into_inner().unwrap()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use avr_compress::Thresholds;
     use avr_sim::vm::AddressSpace;
     use avr_types::PhysAddr;
 
@@ -144,37 +77,21 @@ mod tests {
     }
 
     #[test]
-    fn parallel_summary_matches_serial_for_any_width() {
+    fn scan_counts_compressible_and_raw_blocks() {
         let (mem, blocks) = mixed_image(300);
-        let th = Thresholds::paper_default();
-        let serial = parallel_summary(&mem, &blocks, th, 8, 1);
-        for threads in [2, 3, 8] {
-            let par = parallel_summary(&mem, &blocks, th, 8, threads);
-            assert_eq!(par, serial, "{threads} threads diverged");
-        }
-        assert_eq!(serial.raw_bytes, 300 * BLOCK_BYTES as u64);
-        assert_eq!(serial.blocks, 300);
-        assert!(serial.stored_bytes < serial.raw_bytes, "smooth blocks must compress");
-        assert!(serial.stored_bytes > serial.raw_bytes / 16, "noise blocks must store raw");
+        let mut comp = Compressor::new(Thresholds::paper_default(), 8);
+        let scan = scan_blocks(&mut comp, &mem, &blocks);
+        assert_eq!(scan.raw_bytes, 300 * BLOCK_BYTES as u64);
+        assert_eq!(scan.blocks, 300);
+        assert!(scan.stored_bytes < scan.raw_bytes, "smooth blocks must compress");
+        assert!(scan.stored_bytes > scan.raw_bytes / 16, "noise blocks must store raw");
         // 2 of every 3 blocks are smooth; the codec must accept exactly those.
-        assert_eq!(serial.compressible, 200);
-    }
-
-    #[test]
-    fn tiny_scans_run_inline() {
-        let (mem, blocks) = mixed_image(8);
-        let th = Thresholds::paper_default();
-        // Under PARALLEL_MIN_BLOCKS this must not spawn (observable only as
-        // "it works and matches"; the inline path is the same scan).
-        let a = parallel_summary(&mem, &blocks, th, 8, 8);
-        let b = parallel_summary(&mem, &blocks, th, 8, 1);
-        assert_eq!(a, b);
+        assert_eq!(scan.compressible, 200);
     }
 
     #[test]
     fn empty_scan_is_zero() {
-        let mem = PhysMem::new();
-        let scan = parallel_summary(&mem, &[], Thresholds::paper_default(), 8, 4);
-        assert_eq!(scan, BlockScan::default());
+        let mut comp = Compressor::new(Thresholds::paper_default(), 8);
+        assert_eq!(scan_blocks(&mut comp, &PhysMem::new(), &[]), BlockScan::default());
     }
 }

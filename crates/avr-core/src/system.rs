@@ -35,11 +35,6 @@ pub struct System {
     pub mem: PhysMem,
     pub space: AddressSpace,
     pub counters: Counters,
-    /// Worker count for the end-of-run parallel compression summary
-    /// (Table 4 scan). Defaults to 1 — sweeps already parallelize across
-    /// whole runs (`SimPool`), so nesting stays opt-in: standalone drivers
-    /// raise it via [`System::set_summary_threads`].
-    pub summary_threads: usize,
     pub(crate) energy_model: EnergyModel,
     /// 64 B-granularity LLC data accesses (energy accounting).
     pub(crate) llc_line_touches: u64,
@@ -85,7 +80,6 @@ impl System {
             energy_model: EnergyModel::default(),
             honor_approx,
             llc_line_touches: 0,
-            summary_threads: 1,
             batched_walk: !knobs().no_batched_walk,
             retries_left: cfg.error_model.retry_budget,
             region_faults: Vec::new(),
@@ -140,12 +134,6 @@ impl System {
     /// L2 metadata statistics (diagnostics / equivalence tests).
     pub fn l2_stats(&self) -> avr_cache::set_assoc::CacheStats {
         self.l2.stats
-    }
-
-    /// Set the worker count for the end-of-run compression summary.
-    pub fn set_summary_threads(&mut self, threads: usize) {
-        assert!(threads >= 1);
-        self.summary_threads = threads;
     }
 
     /// The effective approximability of a line under this design.
@@ -626,9 +614,9 @@ impl System {
 
     /// Table 4: sweep the approximable regions, compress every block from
     /// its final values, and report the footprint-weighted ratio plus the
-    /// whole-application footprint fraction. The block scan partitions
-    /// across `summary_threads` workers ([`crate::summary`]), each reusing
-    /// its own compressor scratch; the totals are thread-count-invariant.
+    /// whole-application footprint fraction. The block scan
+    /// ([`crate::summary`]) reuses one compressor's scratch for every
+    /// block.
     fn compression_summary(&mut self) -> (f64, f64, crate::summary::BlockScan) {
         let (total, approx) = self.space.footprint();
         if total == 0 {
@@ -903,24 +891,6 @@ impl Vm for System {
             }
             self.mem.write_words_f32(start, &new[..m]);
             done += m;
-        }
-    }
-
-    fn read_i32s(&mut self, addr: PhysAddr, out: &mut [i32]) {
-        let mut done = 0;
-        for (start, n) in Self::line_spans(addr, out.len()) {
-            self.span_timed(start, n, false);
-            self.mem.read_words_i32(start, &mut out[done..done + n]);
-            done += n;
-        }
-    }
-
-    fn write_i32s(&mut self, addr: PhysAddr, vals: &[i32]) {
-        let mut done = 0;
-        for (start, n) in Self::line_spans(addr, vals.len()) {
-            self.span_timed(start, n, true);
-            self.mem.write_words_i32(start, &vals[done..done + n]);
-            done += n;
         }
     }
 }

@@ -159,8 +159,7 @@ pub trait Vm {
 
     /// Timed load of `out.len()` consecutive i32 values starting at `addr`
     /// — bit-pattern identical to [`Vm::read_u32s`] (the Fixed32/Q16.16
-    /// consumers' view, so fixed-point workloads get the same bulk fast
-    /// paths as the float ones).
+    /// consumers' view).
     fn read_i32s(&mut self, addr: PhysAddr, out: &mut [i32]) {
         for (k, o) in out.iter_mut().enumerate() {
             *o = self.read_u32(PhysAddr(addr.0 + 4 * k as u64)) as i32;
@@ -370,16 +369,6 @@ impl Vm for ExactVm {
     fn write_f32s(&mut self, addr: PhysAddr, vals: &[f32]) {
         self.instructions += vals.len() as u64;
         self.mem.write_words_f32(addr, vals);
-    }
-
-    fn read_i32s(&mut self, addr: PhysAddr, out: &mut [i32]) {
-        self.instructions += out.len() as u64;
-        self.mem.read_words_i32(addr, out);
-    }
-
-    fn write_i32s(&mut self, addr: PhysAddr, vals: &[i32]) {
-        self.instructions += vals.len() as u64;
-        self.mem.write_words_i32(addr, vals);
     }
 
     fn read_f32s_strided(&mut self, base: PhysAddr, stride_bytes: u64, out: &mut [f32]) {

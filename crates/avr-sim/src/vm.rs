@@ -100,31 +100,6 @@ impl PhysMem {
         }
     }
 
-    /// [`PhysMem::read_words`] reinterpreted as two's-complement i32
-    /// (bit-pattern identical to the u32 view — the Fixed32/Q16.16 path).
-    pub fn read_words_i32(&self, addr: PhysAddr, out: &mut [i32]) {
-        let base = Self::word_index(addr);
-        let have = self.words.len().saturating_sub(base).min(out.len());
-        if have > 0 {
-            for (o, w) in out[..have].iter_mut().zip(&self.words[base..base + have]) {
-                *o = *w as i32;
-            }
-        }
-        out[have..].fill(0);
-    }
-
-    /// [`PhysMem::write_words`] from i32 values (bit-pattern stores).
-    pub fn write_words_i32(&mut self, addr: PhysAddr, vals: &[i32]) {
-        if vals.is_empty() {
-            return;
-        }
-        let base = Self::word_index(addr);
-        self.ensure(base + vals.len() - 1);
-        for (w, v) in self.words[base..base + vals.len()].iter_mut().zip(vals) {
-            *w = *v as u32;
-        }
-    }
-
     /// Read a whole cacheline.
     pub fn read_line(&self, line: LineAddr) -> CacheLine {
         let base = Self::word_index(line.base());
@@ -414,25 +389,6 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(m.read_u32(PhysAddr(base.0 + 4)), (-0.0f32).to_bits());
-    }
-
-    #[test]
-    fn bulk_i32_words_are_bit_pattern_stores() {
-        let mut m = PhysMem::new();
-        let base = PhysAddr(0x4000);
-        let vals = [i32::MIN, -1, 0, 65536, i32::MAX];
-        m.write_words_i32(base, &vals);
-        // The u32 view sees the same bit patterns.
-        for (i, &v) in vals.iter().enumerate() {
-            assert_eq!(m.read_u32(PhysAddr(base.0 + 4 * i as u64)), v as u32);
-        }
-        let mut back = [0i32; 5];
-        m.read_words_i32(base, &mut back);
-        assert_eq!(back, vals);
-        // Unwritten tails read zero, like every other bulk reader.
-        let mut tail = [7i32; 4];
-        m.read_words_i32(PhysAddr(1 << 30), &mut tail);
-        assert_eq!(tail, [0i32; 4]);
     }
 
     #[test]

@@ -273,13 +273,9 @@ fn assert_matches_reference(
     }
 }
 
-/// Compress `block` on every dispatch arm the CPU supports and assert each
-/// outcome is bit-identical to the reference implementation. Each arm runs
-/// on its *dispatch* table — for SSE2 that is the per-kernel mix (scalar
-/// 1-D reconstruction, 128-bit everything else), so the mixed table is
-/// oracled end-to-end; the pure SSE2 1-D kernel keeps its own oracle in
-/// `avr_compress::simd::equivalence`. The arm travels in the scratch, so
-/// concurrent tests cannot change it.
+/// Compress `block` on every arm the CPU supports and assert each outcome
+/// is bit-identical to the reference implementation. The arm's table
+/// travels in the scratch, so concurrent tests cannot change it.
 fn assert_all_arms_match_reference(
     block: &BlockData,
     dt: DataType,
@@ -289,7 +285,7 @@ fn assert_all_arms_match_reference(
 ) {
     let reference = compress_reference(block, dt, th, max_lines);
     for arm in simd::supported_arms() {
-        let table = simd::dispatch_kernels_for(arm).expect("supported arm");
+        let table = simd::kernels_for(arm).expect("supported arm");
         let fused =
             compress_with(&mut CompressScratch::with_kernels(table), block, dt, th, max_lines);
         assert_matches_reference(&fused, &reference, &format!("{ctx} [{}]", arm.name()));
@@ -299,7 +295,7 @@ fn assert_all_arms_match_reference(
 /// The oracle: the fused hot path is **bit-identical** to the retained
 /// pre-refactor reference on success, and agrees on the failure mode, over
 /// ≥1000 randomized blocks per data type (and several `max_lines` caps) —
-/// on **every** dispatch arm the host supports (scalar, SSE2, AVX2).
+/// on **every** arm the host supports (scalar, AVX2).
 #[test]
 fn fused_codec_is_bit_identical_to_reference() {
     let th = Thresholds::paper_default();
@@ -324,7 +320,7 @@ fn fused_codec_is_bit_identical_to_reference() {
 
 /// Adversarial IEEE-754 corner blocks: all-NaN, mixed ±Inf, subnormal
 /// fields, sign-flip boundaries and special-studded smooth data — every
-/// dispatch arm must agree with the reference bit-for-bit on all of them.
+/// arm must agree with the reference bit-for-bit on all of them.
 #[test]
 fn adversarial_blocks_are_bit_identical_on_every_arm() {
     let th = Thresholds::paper_default();

@@ -74,28 +74,6 @@ fn pool_runs_are_bit_identical_to_single_threaded_for_every_workload() {
 }
 
 #[test]
-fn parallel_compression_summary_is_thread_count_invariant() {
-    // The Table 4 block scan partitions across workers; u64 byte totals
-    // make the partition unobservable. Exercise it through a real system
-    // run with summary_threads raised.
-    let cfg = SystemConfig::tiny();
-    let suite = all_benchmarks(BenchScale::Tiny);
-    let w = suite.iter().find(|w| w.name() == "bscholes").unwrap();
-    let run_with = |threads: usize| {
-        let mut sys = avr::arch::System::new(cfg.clone(), DesignKind::Avr);
-        sys.set_summary_threads(threads);
-        let _ = w.run(&mut sys);
-        let m = sys.finish(w.name());
-        (m.compression_ratio, m.footprint_fraction)
-    };
-    let (r1, f1) = run_with(1);
-    let (r4, f4) = run_with(4);
-    assert_eq!(r1.to_bits(), r4.to_bits(), "ratio differs across summary widths");
-    assert_eq!(f1.to_bits(), f4.to_bits(), "footprint differs across summary widths");
-    assert!(r1 > 1.0, "bscholes must compress at tiny scale");
-}
-
-#[test]
 fn design_does_not_perturb_instruction_stream_except_kmeans() {
     // All benchmarks but kmeans execute a fixed amount of work regardless
     // of approximation (paper §4.3); kmeans may converge differently.

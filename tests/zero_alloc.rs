@@ -3,12 +3,11 @@
 //! global allocator wraps the system allocator; everything runs inside one
 //! test function so no concurrent test pollutes the counter.
 //!
-//! Only threads that opt in (the test thread and the summary workers it
-//! spawns) are counted: the allocator is process-global, and libtest's own
-//! runner thread does a couple of bookkeeping allocations concurrently
-//! with the first milliseconds of the test body — on a loaded single-core
-//! host those used to land inside the measured window and fail the test
-//! spuriously.
+//! Only the test thread opts in to counting: the allocator is
+//! process-global, and libtest's own runner thread does a couple of
+//! bookkeeping allocations concurrently with the first milliseconds of
+//! the test body — on a loaded single-core host those used to land inside
+//! the measured window and fail the test spuriously.
 
 use avr::arch::{DesignKind, System as AvrSystem, SystemConfig, Vm};
 use avr::cache::cmt::{CmtCache, CmtTable};
@@ -300,64 +299,23 @@ fn steady_state_hot_paths_do_not_allocate() {
     );
 
     // ------------------------------------------------------------------
-    // Parallel compression summary: each worker's block-scan loop reuses
-    // its own Compressor scratch, so once all workers are warmed the whole
-    // pool performs zero allocations while scanning. Barriers carve out a
-    // measurement window in which *only* the workers' steady-state loops
-    // run, making the global counter a per-worker-sum-of-zeros check.
+    // Compression summary: the Table 4 block scan reuses one Compressor's
+    // scratch, so after one warm scan every further scan allocates nothing.
     // ------------------------------------------------------------------
     let blocks: Vec<_> = sys.space.approx_blocks().collect();
     assert!(blocks.len() >= 32, "need a real block population, got {}", blocks.len());
-    let mem = &sys.mem;
-    const WORKERS: usize = 4;
-    let warmed = std::sync::Barrier::new(WORKERS + 1);
-    let start = std::sync::Barrier::new(WORKERS + 1);
-    let stop = std::sync::Barrier::new(WORKERS + 1);
-    // Holds workers alive (parked, not exiting) until the counter is read,
-    // so thread-teardown machinery can't leak into the window.
-    let exit_gate = std::sync::Barrier::new(WORKERS + 1);
-    let chunk = blocks.len().div_ceil(WORKERS);
-    let mut totals = avr::arch::summary::BlockScan::default();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = blocks
-            .chunks(chunk)
-            .map(|share| {
-                let (warmed, start, stop, exit_gate) = (&warmed, &start, &stop, &exit_gate);
-                scope.spawn(move || {
-                    count_this_thread();
-                    // Worker setup: the compressor (and its scratch) is the
-                    // only allocation; one warm scan touches every branch.
-                    let mut comp = Compressor::new(Thresholds::paper_default(), 8);
-                    let warm = avr::arch::summary::scan_blocks(&mut comp, mem, share);
-                    warmed.wait();
-                    start.wait();
-                    let mut acc = avr::arch::summary::BlockScan::default();
-                    for _ in 0..20 {
-                        let got = avr::arch::summary::scan_blocks(&mut comp, mem, share);
-                        assert_eq!(got, warm, "scan must be repeatable");
-                        acc = got;
-                    }
-                    stop.wait();
-                    exit_gate.wait();
-                    acc
-                })
-            })
-            .collect();
-        warmed.wait();
-        let before = allocations();
-        start.wait(); // release every warmed worker into its steady loop
-        stop.wait(); // all loops done; nothing else ran in the window
-        let summary_allocs = allocations() - before;
-        exit_gate.wait();
-        assert_eq!(
-            summary_allocs, 0,
-            "steady-state parallel compression_summary allocated {summary_allocs} times"
-        );
-        for h in handles {
-            totals.merge(h.join().unwrap());
-        }
-    });
-    // The sharded totals must equal the engine's own parallel scan.
-    let th = Thresholds::paper_default();
-    assert_eq!(avr::arch::summary::parallel_summary(mem, &blocks, th, 8, WORKERS), totals);
+    // Setup: the compressor (and its scratch) is the only allocation; one
+    // warm scan touches every branch.
+    let mut comp = Compressor::new(Thresholds::paper_default(), 8);
+    let warm = avr::arch::summary::scan_blocks(&mut comp, &sys.mem, &blocks);
+    let before = allocations();
+    for _ in 0..20 {
+        let got = avr::arch::summary::scan_blocks(&mut comp, &sys.mem, &blocks);
+        assert_eq!(got, warm, "scan must be repeatable");
+    }
+    let summary_allocs = allocations() - before;
+    assert_eq!(
+        summary_allocs, 0,
+        "steady-state compression summary allocated {summary_allocs} times"
+    );
 }
