@@ -44,7 +44,7 @@
 #                         cell to a direct run), plus the sweep_server
 #                         binary driven over a real socket
 #   ./ci.sh perf          bench smoke: bench_e2e --smoke gated against the
-#                         committed BENCH_PR20.json + codec kernel smoke
+#                         committed BENCH_PR23.json + codec kernel smoke
 #                         (AVR_BENCH_FAST=1) + every table/figure and the
 #                         ablation at tiny scale, then the same figures
 #                         rerun under AVR_NO_SIMD=1, AVR_NO_BATCHED_WALK=1
@@ -245,7 +245,7 @@ PYEOF
 }
 
 perf() {
-    echo "==> perf smoke: end-to-end blocks/s vs committed BENCH_PR20.json"
+    echo "==> perf smoke: end-to-end blocks/s vs committed BENCH_PR23.json"
     # Fails when any workload's blocks/s regresses > 25 % against the
     # committed trajectory baseline, and hard-fails on
     # workload/backend/layout/design set drift; the JSON is uploaded as a
@@ -253,11 +253,12 @@ perf() {
     # ten workloads, every backend, layout and design) in interleaved
     # rounds, and the gate calibrates each round against its own median,
     # so host-speed drift during the run cancels. The baseline is
-    # BENCH_PR20.json, the first recording measured that way. On a
-    # multi-core runner the gate also fails if the pooled design grid is
-    # slower than its single-thread time.
+    # BENCH_PR23.json, recorded that way after the workloads' own
+    # arithmetic got faster (kmeans and fft most). On a multi-core runner
+    # the gate also fails if the pooled design grid is slower than its
+    # single-thread time.
     cargo run --release -p avr-bench --bin bench_e2e -- \
-        --smoke --check BENCH_PR20.json --out bench-e2e-smoke.json
+        --smoke --check BENCH_PR23.json --out bench-e2e-smoke.json
 
     echo "==> codec kernel smoke (reference vs fused, shrunk measurement)"
     # AVR_BENCH_FAST is a flag: any value but empty or 0 shrinks the run.

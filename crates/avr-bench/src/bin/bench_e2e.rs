@@ -760,6 +760,7 @@ mod tests {
             (15, 10),
             (16, 10),
             (20, 10),
+            (23, 10),
         ] {
             let b = Baseline::read(&committed(pr)).unwrap();
             assert_eq!(b.axes[0].len(), workloads, "BENCH_PR{pr}");
@@ -777,6 +778,7 @@ mod tests {
         }
         assert_eq!(Baseline::read(&committed(12)).unwrap().host_width, Some(2));
         assert_eq!(Baseline::read(&committed(20)).unwrap().host_width, Some(2));
+        assert_eq!(Baseline::read(&committed(23)).unwrap().host_width, Some(2));
     }
 
     #[test]

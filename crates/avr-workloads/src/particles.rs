@@ -65,6 +65,18 @@ const VX: usize = 2;
 const VY: usize = 3;
 const CI: usize = 4;
 
+/// `v.rem_euclid(side)`, without the remainder call for the common
+/// in-domain position: `fmod` is exact, so `rem_euclid` returns a `v` in
+/// `[0, side)` unchanged, `-0.0` included.
+#[inline]
+fn wrap(v: f32, side: f32) -> f32 {
+    if (0.0..side).contains(&v) {
+        v
+    } else {
+        v.rem_euclid(side)
+    }
+}
+
 impl Workload for Particles {
     fn name(&self) -> &'static str {
         "particles"
@@ -153,8 +165,8 @@ impl Workload for Particles {
                     let ay = spring * (cy - by[o]) - swirl * (center - bx[o]);
                     bvx[o] += ax * dt;
                     bvy[o] += ay * dt;
-                    bx[o] = (bx[o] + bvx[o] * dt).rem_euclid(sidef);
-                    by[o] = (by[o] + bvy[o] * dt).rem_euclid(sidef);
+                    bx[o] = wrap(bx[o] + bvx[o] * dt, sidef);
+                    by[o] = wrap(by[o] + bvy[o] * dt, sidef);
                     // Re-bin.
                     let nci =
                         (by[o] as usize).min(side - 1) * side + (bx[o] as usize).min(side - 1);
@@ -225,6 +237,34 @@ mod tests {
         for layout in [LayoutKind::Aos, LayoutKind::Partitioned] {
             let mut vm = ExactVm::new();
             assert_eq!(w.run_in(&mut vm, layout), golden, "{layout:?} diverged");
+        }
+    }
+
+    #[test]
+    fn wrap_is_bit_identical_to_rem_euclid() {
+        for side in [16.0f32, 64.0] {
+            let below = f32::from_bits(side.to_bits() - 1);
+            for v in [
+                0.0,
+                -0.0,
+                f32::MIN_POSITIVE,
+                -f32::MIN_POSITIVE,
+                1.5,
+                below,
+                side,
+                side + 0.25,
+                -0.25,
+                -side,
+                -3.0 * side - 1.0,
+                1e30,
+                -1e30,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::NAN,
+            ] {
+                let (got, want) = (wrap(v, side), v.rem_euclid(side));
+                assert_eq!(got.to_bits(), want.to_bits(), "wrap({v}, {side})");
+            }
         }
     }
 

@@ -124,3 +124,51 @@ fn pooled_grid_computes_one_golden_per_workload() {
         "a (workload × design) grid must compute each golden once, not once per cell"
     );
 }
+
+/// FNV-1a over an output's length and every value's `f64` bit pattern.
+fn output_digest(out: &[f64]) -> u64 {
+    std::iter::once(out.len() as u64).chain(out.iter().map(|v| v.to_bits())).fold(
+        0xcbf2_9ce4_8422_2325,
+        |h, x| {
+            x.to_le_bytes().iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+        },
+    )
+}
+
+/// Digests of the golden outputs: all ten programs at tiny scale, and the
+/// three programs whose host arithmetic is restructured for speed (kmeans's
+/// centroid-outer assignment, fft's per-pass twiddle table, particles'
+/// in-range wrap) at bench scale. Captured before that restructuring; a
+/// change to any program's arithmetic that moves one output bit fails here.
+const GOLDEN_PINS: [(&str, BenchScale, u64); 13] = [
+    ("heat", BenchScale::Tiny, 0x8682_e6af_15d1_f6c2),
+    ("lattice", BenchScale::Tiny, 0x9f70_2be2_899d_17c6),
+    ("lbm", BenchScale::Tiny, 0x3ad9_e187_0e1f_24be),
+    ("orbit", BenchScale::Tiny, 0x7823_c2c5_ab1e_47ec),
+    ("kmeans", BenchScale::Tiny, 0x70a4_cd01_af16_657d),
+    ("bscholes", BenchScale::Tiny, 0x3e0e_c828_9e29_628a),
+    ("wrf", BenchScale::Tiny, 0x8a94_6934_848a_89c5),
+    ("sobel", BenchScale::Tiny, 0xec9f_f1bc_cfaa_0715),
+    ("fft", BenchScale::Tiny, 0x4694_2acc_706f_35ca),
+    ("particles", BenchScale::Tiny, 0x2220_029c_5691_daa2),
+    ("kmeans", BenchScale::Bench, 0x26e4_e44e_d1cb_a1ea),
+    ("fft", BenchScale::Bench, 0xa4c6_7061_b5d2_12b0),
+    ("particles", BenchScale::Bench, 0x811a_d3d4_e534_6133),
+];
+
+#[test]
+fn golden_outputs_match_their_pins() {
+    let _guard = lock();
+    let names = avr::workloads::workload_names();
+    let tiny = GOLDEN_PINS.iter().filter(|p| p.1 == BenchScale::Tiny).count();
+    assert_eq!(tiny, names.len(), "every program has a tiny-scale pin");
+    let mut failed = Vec::new();
+    for &(name, scale, pin) in &GOLDEN_PINS {
+        let w = avr::workloads::workload_by_name(name, scale).unwrap();
+        let got = output_digest(&golden_run(w.as_ref()));
+        if got != pin {
+            failed.push(format!("{name}/{scale:?}: {got:#018x} (pinned {pin:#018x})"));
+        }
+    }
+    assert!(failed.is_empty(), "golden outputs moved:\n{}", failed.join("\n"));
+}
