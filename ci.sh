@@ -34,7 +34,7 @@
 #   ./ci.sh test-pooled   release test suite with AVR_THREADS=4 — every
 #                         default-width SimPool (grid sweeps, figure
 #                         smoke, the sweep server) runs four workers wide,
-#                         so the chunked claiming / weighted scheduling /
+#                         so the claiming / weighted scheduling /
 #                         golden-memoization machinery is exercised under
 #                         real concurrency by the whole suite, not only by
 #                         the tests that construct wide pools themselves
@@ -181,7 +181,7 @@ test_pooled() {
     # AVR_THREADS sets every default-width SimPool (SimPool::from_env:
     # grid sweeps, the figures sweep, the sweep_server daemon), so the
     # whole suite runs them four workers wide even on a smaller CI
-    # runner: chunked claiming, heaviest-first scheduling and the
+    # runner: one-job claiming, heaviest-first scheduling and the
     # golden-run memoization all execute under real worker concurrency,
     # and the determinism tests verify the results stay bit-identical to
     # the 1-thread order. Tests that construct explicit-width pools
@@ -254,8 +254,9 @@ perf() {
     # rounds, and the gate calibrates each round against its own median,
     # so host-speed drift during the run cancels. The baseline is
     # BENCH_PR23.json, recorded that way after the workloads' own
-    # arithmetic got faster (kmeans and fft most). On a multi-core runner
-    # the gate also fails if the pooled design grid is slower than its
+    # arithmetic got faster (kmeans and fft most). When a two-thread spin
+    # probe around the pooled grids reads >= 1.5 cores granted, the gate
+    # also fails if the pooled design grid is slower than its
     # single-thread time.
     cargo run --release -p avr-bench --bin bench_e2e -- \
         --smoke --check BENCH_PR23.json --out bench-e2e-smoke.json

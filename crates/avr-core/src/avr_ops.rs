@@ -464,10 +464,6 @@ impl DecoupledPolicy {
 }
 
 impl DesignPolicy for DecoupledPolicy {
-    fn kind(&self) -> DesignKind {
-        self.kind
-    }
-
     fn honor_approx(&self) -> bool {
         self.kind == DesignKind::Avr
     }

@@ -80,9 +80,6 @@ use crate::system::System;
 /// `Send` because a `System` (which owns its policy) migrates across
 /// `SimPool` workers.
 pub trait DesignPolicy: Send {
-    /// Which design this policy implements.
-    fn kind(&self) -> DesignKind;
-
     /// Whether this design honors approx annotations (`false` for
     /// Baseline/ZeroAVR: they treat every region as precise).
     fn honor_approx(&self) -> bool;
@@ -181,10 +178,6 @@ impl ConventionalPolicy {
 }
 
 impl DesignPolicy for ConventionalPolicy {
-    fn kind(&self) -> DesignKind {
-        self.kind
-    }
-
     fn honor_approx(&self) -> bool {
         self.kind == DesignKind::Truncate
     }
@@ -284,10 +277,6 @@ impl DedupPolicy {
 }
 
 impl DesignPolicy for DedupPolicy {
-    fn kind(&self) -> DesignKind {
-        DesignKind::Doppelganger
-    }
-
     fn honor_approx(&self) -> bool {
         true
     }

@@ -2,10 +2,10 @@
 //! plus the four comparison designs of §4.1.
 //!
 //! The crate's central type is [`System`]: an execution-driven simulator of
-//! one core (or one SPMD shard of a CMP) with an L1/L2/LLC hierarchy, a
-//! DDR4 main memory, and — depending on [`avr_types::DesignKind`] — the AVR
-//! compressor/decompressor layer, CMT, DBUF and prefetch engine between the
-//! LLC and the memory controller (Fig. 1).
+//! one core with an L1/L2/LLC hierarchy, a DDR4 main memory, and —
+//! depending on [`avr_types::DesignKind`] — the AVR compressor/decompressor
+//! layer, CMT, DBUF and prefetch engine between the LLC and the memory
+//! controller (Fig. 1).
 //!
 //! Workloads drive a system through the [`Vm`] trait — word accesses,
 //! batched/strided/gathered bulk transfers, compute accounting — and the
@@ -18,7 +18,6 @@ pub mod avr_ops;
 pub mod design;
 pub mod layout;
 pub mod memo;
-pub mod multicore;
 pub mod overhead;
 pub mod pool;
 pub mod summary;
@@ -29,9 +28,8 @@ pub use design::{policy_for, DesignPolicy};
 pub use layout::{
     FieldSpec, FieldType, FieldView, Layout, LayoutMap, PlacementPolicy, RecordSchema, SoaGrouping,
 };
-pub use multicore::{run_multicore, run_multicore_on, MulticoreRun, ShardedWorkload};
 pub use overhead::OverheadReport;
-pub use pool::{shard_seed, JobCtx, PoolControl, SimPool};
+pub use pool::{JobCtx, PoolControl, SimPool};
 pub use system::System;
 pub use vm_api::{ExactVm, Vm, WordAtATime};
 

@@ -35,7 +35,7 @@
 use avr_cache::set_assoc::{Lookup, SetAssocCache};
 use avr_dram::AccessKind;
 use avr_sim::vm::Region;
-use avr_types::{CacheLine, DataType, DesignKind, LineAddr, MemoParams, SystemConfig, CL_BYTES};
+use avr_types::{CacheLine, DataType, LineAddr, MemoParams, SystemConfig, CL_BYTES};
 
 use crate::design::DesignPolicy;
 use crate::system::System;
@@ -246,10 +246,6 @@ impl MemoInPolicy {
 }
 
 impl DesignPolicy for MemoInPolicy {
-    fn kind(&self) -> DesignKind {
-        DesignKind::MemoIn
-    }
-
     fn honor_approx(&self) -> bool {
         true
     }
@@ -411,10 +407,6 @@ impl MemoOutPolicy {
 }
 
 impl DesignPolicy for MemoOutPolicy {
-    fn kind(&self) -> DesignKind {
-        DesignKind::MemoOut
-    }
-
     fn honor_approx(&self) -> bool {
         true
     }

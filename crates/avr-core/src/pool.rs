@@ -6,38 +6,34 @@
 //! that approximate-memory conclusions need *many* such configurations.
 //! `SimPool` shards those independent runs across OS threads:
 //!
-//! * **Deterministic**: each job gets a [`JobCtx`] whose `seed` is a pure
-//!   function of the job index (splitmix64), and results come back in job
-//!   order regardless of thread count, scheduling policy or claiming
-//!   granularity. A pool of N threads is bit-identical to the
+//! * **Deterministic**: each job sees only its [`JobCtx`] index, and
+//!   results come back in job order regardless of thread count or
+//!   scheduling policy. A pool of N threads is bit-identical to the
 //!   single-threaded path (`tests/determinism.rs` asserts this for every
 //!   workload; `tests/scaling.rs` asserts it for every scheduling policy).
 //! * **Dependency-free**: plain `std::thread::scope` workers pulling job
 //!   indices from a shared atomic — no external thread-pool crate (the
 //!   build environment is offline).
-//! * **Composable**: the same engine drives the figure sweeps
-//!   (`avr_bench::Sweep`), the SPMD multicore runner
-//!   ([`crate::multicore::run_multicore_on`]) and the sweep server.
+//! * **Composable**: the same engine drives the (workload × design) grid
+//!   (`avr_workloads::run_grid`), the figure sweeps (`avr_bench::Sweep`),
+//!   `bench_e2e` and the sweep server.
 //!
 //! # Scheduling policy
 //!
-//! Workers claim work from a shared cursor; what a claim *means* depends
-//! on the entry point:
+//! Workers claim one job at a time from a shared cursor; what a claim
+//! *means* depends on the entry point:
 //!
-//! * [`SimPool::run_jobs`] — jobs are claimed in index order, in **chunks**
-//!   when the batch is large (`total / (workers × 8)`, clamped to
-//!   `1..=64`): one atomic RMW amortizes across a run of jobs, so a
-//!   100k-job batch does ~thousands of cursor operations instead of 100k,
-//!   while the shrinking tail still load-balances.
+//! * [`SimPool::run_jobs`] — jobs are claimed in index order, so uneven
+//!   job costs load-balance.
 //! * [`SimPool::run_jobs_weighted`] — the caller supplies a per-job cost
-//!   estimate and jobs are claimed **heaviest-first** (LPT order, one job
-//!   per claim). For heavily skewed batches — the nine-workload sweep
-//!   spans ~45× between `fft` and the lightest workloads — this keeps the
-//!   long pole from being claimed last, which would otherwise bound
-//!   speedup by `t_longest + t_rest/N` with the longest job serialized at
-//!   the *end* of the schedule. Only the claiming order changes: results
-//!   are still returned (and bit-identical) in job order, for any weight
-//!   function and any width.
+//!   estimate and jobs are claimed **heaviest-first** (LPT order). For
+//!   heavily skewed batches — the nine-workload sweep spans ~45× between
+//!   `fft` and the lightest workloads — this keeps the long pole from
+//!   being claimed last, which would otherwise bound speedup by
+//!   `t_longest + t_rest/N` with the longest job serialized at the *end*
+//!   of the schedule. Only the claiming order changes: results are still
+//!   returned (and bit-identical) in job order, for any weight function
+//!   and any width.
 //!
 //! # Why the engine is structured this way
 //!
@@ -52,9 +48,7 @@
 //! * pads the job cursor to its own cache lines (`PaddedCursor`) so
 //!   claim traffic never false-shares;
 //! * writes each result into a **preallocated slot** owned by its job
-//!   index (`ResultSlots`) — no result mutex, no tag, no final sort;
-//! * claims in chunks (above) so cursor traffic scales with
-//!   `workers × chunks`, not jobs.
+//!   index (`ResultSlots`) — no result mutex, no tag, no final sort.
 
 // The result slots are written through `UnsafeCell` without a lock.
 #![allow(unsafe_code)]
@@ -67,14 +61,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 /// Per-job context handed to every pool closure.
 #[derive(Clone, Copy, Debug)]
 pub struct JobCtx {
-    /// This job's index in `0..total` (also its result slot).
+    /// This job's index in the batch (also its result slot).
     pub index: usize,
-    /// Total number of jobs in the batch.
-    pub total: usize,
-    /// Deterministic per-shard seed: a pure function of `index`, identical
-    /// for any thread count. Stochastic workloads must draw all their
-    /// randomness from this.
-    pub seed: u64,
     /// Which pool worker (`0..threads`) is executing this job. Purely
     /// informational — which worker claims which job is a scheduling
     /// accident, and nothing deterministic may depend on it — but it lets
@@ -133,15 +121,6 @@ impl PoolControl {
     pub fn in_flight(&self) -> usize {
         self.started().saturating_sub(self.finished())
     }
-}
-
-/// Deterministic per-shard seed (splitmix64 over the job index).
-#[inline]
-pub fn shard_seed(index: usize) -> u64 {
-    let mut z = (index as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A shared claim cursor padded to its own cache lines, so the hot
@@ -209,12 +188,6 @@ impl<T> ResultSlots<T> {
     }
 }
 
-/// Unweighted claiming granularity: aim for ~8 chunks per worker so the
-/// tail still load-balances, claim at least 1 and at most 64 jobs per
-/// cursor RMW.
-const CHUNKS_PER_WORKER: usize = 8;
-const MAX_CLAIM_CHUNK: usize = 64;
-
 /// A fixed-width pool of simulation workers.
 #[derive(Clone, Copy, Debug)]
 pub struct SimPool {
@@ -246,9 +219,8 @@ impl SimPool {
     }
 
     /// Run `total` independent jobs and return their results **in job
-    /// order**. Jobs are claimed dynamically in index order (chunked for
-    /// large batches — see the module docs), so uneven job costs
-    /// load-balance, but the output order — and, because jobs are
+    /// order**. Jobs are claimed dynamically in index order, so uneven job
+    /// costs load-balance, but the output order — and, because jobs are
     /// independent and deterministic, every result bit — is identical for
     /// any pool width.
     pub fn run_jobs<T, F>(&self, total: usize, job: F) -> Vec<T>
@@ -319,58 +291,39 @@ impl SimPool {
             ctl.finished.fetch_add(1, Ordering::Relaxed);
             Some(out)
         };
-        if self.threads == 1 || total <= 1 {
-            return self.run_scheduled(total, None, observed);
-        }
-        assert!(u32::try_from(total).is_ok(), "batch too large for the u32 schedule");
-        let mut order: Vec<u32> = (0..total as u32).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(weight(i as usize)));
-        self.run_scheduled(total, Some(order), observed)
+        self.run_jobs_weighted(total, weight, observed)
     }
 
-    /// The shared engine behind both entry points: claim positions from a
-    /// padded cursor (chunked when unscheduled), map them through the
-    /// optional heaviest-first schedule, write each result into its job's
+    /// The shared engine behind every entry point: claim positions one at
+    /// a time from a padded cursor, map them through the optional
+    /// heaviest-first schedule, write each result into its job's
     /// preallocated slot.
     fn run_scheduled<T, F>(&self, total: usize, schedule: Option<Vec<u32>>, job: F) -> Vec<T>
     where
         T: Send,
         F: Fn(JobCtx) -> T + Sync,
     {
-        let ctx = |index, worker| JobCtx { index, total, seed: shard_seed(index), worker };
         if self.threads == 1 || total <= 1 {
             // Inline fast path: no spawn overhead, trivially deterministic.
-            return (0..total).map(|i| job(ctx(i, 0))).collect();
+            return (0..total).map(|index| job(JobCtx { index, worker: 0 })).collect();
         }
-        let workers = self.threads.min(total);
-        // A weighted schedule claims one job per RMW: its batches are
-        // small and skewed (that is why they are weighted), and chunking
-        // would hand one worker a run of same-workload cells — including
-        // the heavy ones the schedule exists to spread out.
-        let chunk = match &schedule {
-            Some(_) => 1,
-            None => (total / (workers * CHUNKS_PER_WORKER)).clamp(1, MAX_CLAIM_CHUNK),
-        };
         let cursor = PaddedCursor::new();
         let slots = ResultSlots::new(total);
         std::thread::scope(|scope| {
-            for worker in 0..workers {
+            for worker in 0..self.threads.min(total) {
                 // Shared engine state by reference; only the worker id
                 // moves into the closure.
                 let (cursor, slots, schedule, job) = (&cursor, &slots, &schedule, &job);
                 scope.spawn(move || loop {
-                    let start = cursor.0.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= total {
+                    let pos = cursor.0.fetch_add(1, Ordering::Relaxed);
+                    if pos >= total {
                         break;
                     }
-                    for pos in start..(start + chunk).min(total) {
-                        let i = schedule.as_ref().map_or(pos, |o| o[pos] as usize);
-                        // SAFETY: `pos` values are claimed exactly once
-                        // (monotone fetch_add) and `schedule` is a
-                        // permutation, so each slot `i` is written exactly
-                        // once.
-                        unsafe { slots.put(i, job(ctx(i, worker))) };
-                    }
+                    let index = schedule.as_ref().map_or(pos, |o| o[pos] as usize);
+                    // SAFETY: `pos` values are claimed exactly once
+                    // (monotone fetch_add) and `schedule` is a permutation,
+                    // so each slot `index` is written exactly once.
+                    unsafe { slots.put(index, job(JobCtx { index, worker })) };
                 });
             }
         });
@@ -393,8 +346,8 @@ mod tests {
 
     #[test]
     fn chunked_claiming_covers_large_batches_exactly_once() {
-        // 10_000 jobs across 8 workers exercises chunked claims (chunk =
-        // 10_000/64 → clamped to 64) including the partial tail chunk.
+        // 10_000 one-job claims across 8 workers: every job runs exactly
+        // once and lands in its own slot.
         let pool = SimPool::new(8);
         let out = pool.run_jobs(10_000, |ctx| ctx.index as u64 + 1);
         assert_eq!(out.len(), 10_000);
@@ -406,7 +359,7 @@ mod tests {
     #[test]
     fn weighted_results_match_unweighted_bit_for_bit() {
         let pool = SimPool::new(4);
-        let plain = pool.run_jobs(97, |ctx| (ctx.index, ctx.seed));
+        let plain = pool.run_jobs(97, |ctx| ctx.index);
         // Adversarial weights: reverse-cost (lightest job first in index
         // order), constant ties, and a skewed mix.
         for weight in [
@@ -414,30 +367,8 @@ mod tests {
             |_| 7,
             |i| if i % 9 == 0 { 1_000_000 } else { i as u64 },
         ] {
-            let weighted = pool.run_jobs_weighted(97, weight, |ctx| (ctx.index, ctx.seed));
+            let weighted = pool.run_jobs_weighted(97, weight, |ctx| ctx.index);
             assert_eq!(weighted, plain, "schedule changed results");
-        }
-    }
-
-    #[test]
-    fn seeds_are_deterministic_and_distinct() {
-        let pool = SimPool::new(4);
-        let a = pool.run_jobs(64, |ctx| ctx.seed);
-        let b = SimPool::new(1).run_jobs(64, |ctx| ctx.seed);
-        assert_eq!(a, b, "seed must not depend on pool width");
-        let mut uniq = a.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), a.len(), "shard seeds collide");
-    }
-
-    #[test]
-    fn ctx_reports_batch_shape() {
-        let pool = SimPool::new(2);
-        let out = pool.run_jobs(5, |ctx| (ctx.index, ctx.total));
-        for (i, (idx, total)) in out.iter().enumerate() {
-            assert_eq!(*idx, i);
-            assert_eq!(*total, 5);
         }
     }
 
@@ -465,10 +396,9 @@ mod tests {
     fn ctl_batch_without_cancellation_matches_weighted_run() {
         for threads in [1, 4] {
             let pool = SimPool::new(threads);
-            let plain = pool.run_jobs_weighted(33, |i| i as u64, |ctx| (ctx.index, ctx.seed));
+            let plain = pool.run_jobs_weighted(33, |i| i as u64, |ctx| ctx.index);
             let ctl = PoolControl::new();
-            let observed =
-                pool.run_jobs_weighted_ctl(33, |i| i as u64, |ctx| (ctx.index, ctx.seed), &ctl);
+            let observed = pool.run_jobs_weighted_ctl(33, |i| i as u64, |ctx| ctx.index, &ctl);
             let unwrapped: Vec<_> = observed.into_iter().map(|r| r.unwrap()).collect();
             assert_eq!(unwrapped, plain, "{threads} threads");
             assert_eq!(ctl.started(), 33);

@@ -1,7 +1,7 @@
 //! The full-system simulator: core → L1 → L2 → LLC(design) → DDR4.
 //!
-//! One `System` simulates one core (the figure benches run one SPMD shard
-//! against a per-core-scaled hierarchy; see [`crate::multicore`]). Data
+//! One `System` simulates one core (the figure benches run it on one
+//! core's share of the paper's CMP, `SystemConfig::per_core_scaled`). Data
 //! values live in the backing store ([`avr_sim::PhysMem`]); the caches track
 //! presence, and every lossy event (AVR compression, fp16 truncation,
 //! Doppelgänger dedup) rewrites the backing store at the architecturally
@@ -591,7 +591,7 @@ impl System {
             blocks_compressed,
             blocks_decompressed: self.counters.blocks_decompressed,
         };
-        let energy = self.energy_model.breakdown(&events, exec_seconds, 1, has_compressor);
+        let energy = self.energy_model.breakdown(&events, exec_seconds, has_compressor);
 
         let (ratio, footprint, scan) = self.compression_summary();
 

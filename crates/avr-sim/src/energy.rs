@@ -83,15 +83,6 @@ impl EnergyBreakdown {
         self.core + self.l1l2 + self.llc + self.dram + self.compressor
     }
 
-    /// Accumulate another run's stack (joules are additive across shards).
-    pub fn merge(&mut self, other: &EnergyBreakdown) {
-        self.core += other.core;
-        self.l1l2 += other.l1l2;
-        self.llc += other.llc;
-        self.dram += other.dram;
-        self.compressor += other.compressor;
-    }
-
     /// Normalize each component to another run's total (the figures
     /// normalize to the baseline design).
     pub fn normalized_to(&self, baseline_total: f64) -> EnergyBreakdown {
@@ -126,24 +117,23 @@ pub struct EnergyEvents {
 
 impl EnergyModel {
     /// Compute the energy stack for a run of `exec_seconds` wall-clock (at
-    /// the simulated clock) over `cores` active cores. `has_compressor`
-    /// gates the compressor's static power (baseline/truncate lack the
-    /// module; Doppelgänger has its own map structures charged the same).
+    /// the simulated clock) on one core. `has_compressor` gates the
+    /// compressor's static power (baseline/truncate lack the module;
+    /// Doppelgänger has its own map structures charged the same).
     pub fn breakdown(
         &self,
         ev: &EnergyEvents,
         exec_seconds: f64,
-        cores: usize,
         has_compressor: bool,
     ) -> EnergyBreakdown {
         let nj = 1e-9;
         EnergyBreakdown {
             core: ev.instructions as f64 * self.core_nj_per_instr * nj
-                + self.core_static_w * cores as f64 * exec_seconds,
+                + self.core_static_w * exec_seconds,
             l1l2: (ev.l1_accesses as f64 * self.l1_nj_per_access
                 + ev.l2_accesses as f64 * self.l2_nj_per_access)
                 * nj
-                + self.l1l2_static_w * cores as f64 * exec_seconds,
+                + self.l1l2_static_w * exec_seconds,
             llc: ev.llc_line_accesses as f64 * self.llc_nj_per_access * nj
                 + self.llc_static_w * exec_seconds,
             dram: (ev.dram_bytes as f64 * self.dram_nj_per_byte
@@ -186,7 +176,7 @@ mod tests {
     #[test]
     fn all_components_positive() {
         let m = EnergyModel::default();
-        let b = m.breakdown(&events(), 0.001, 1, true);
+        let b = m.breakdown(&events(), 0.001, true);
         assert!(b.core > 0.0 && b.l1l2 > 0.0 && b.llc > 0.0 && b.dram > 0.0);
         assert!(b.compressor > 0.0);
         assert!(b.total() > 0.0);
@@ -195,7 +185,7 @@ mod tests {
     #[test]
     fn no_compressor_means_zero_compressor_energy() {
         let m = EnergyModel::default();
-        let b = m.breakdown(&events(), 0.001, 1, false);
+        let b = m.breakdown(&events(), 0.001, false);
         assert_eq!(b.compressor, 0.0);
     }
 
@@ -205,8 +195,8 @@ mod tests {
         let mut low = events();
         low.dram_bytes /= 4;
         low.dram_activates /= 4;
-        let b_low = m.breakdown(&low, 0.001, 1, true);
-        let b_hi = m.breakdown(&events(), 0.001, 1, true);
+        let b_low = m.breakdown(&low, 0.001, true);
+        let b_hi = m.breakdown(&events(), 0.001, true);
         assert!(b_low.dram < b_hi.dram);
     }
 
@@ -217,8 +207,8 @@ mod tests {
         let m = EnergyModel::default();
         let mut relaxed = events();
         relaxed.dram_refreshes /= 4;
-        let b_relaxed = m.breakdown(&relaxed, 0.001, 1, true);
-        let b_nominal = m.breakdown(&events(), 0.001, 1, true);
+        let b_relaxed = m.breakdown(&relaxed, 0.001, true);
+        let b_nominal = m.breakdown(&events(), 0.001, true);
         let expect = 75.0 * m.dram_nj_per_refresh * 1e-9;
         assert!((b_nominal.dram - b_relaxed.dram - expect).abs() < 1e-15);
     }
@@ -226,8 +216,8 @@ mod tests {
     #[test]
     fn shorter_runtime_cuts_static_energy() {
         let m = EnergyModel::default();
-        let fast = m.breakdown(&events(), 0.0005, 1, true);
-        let slow = m.breakdown(&events(), 0.001, 1, true);
+        let fast = m.breakdown(&events(), 0.0005, true);
+        let slow = m.breakdown(&events(), 0.001, true);
         assert!(fast.total() < slow.total());
         // Dynamic component is identical, so the delta equals static power
         // x time delta.
@@ -243,7 +233,7 @@ mod tests {
     #[test]
     fn normalization_is_proportional() {
         let m = EnergyModel::default();
-        let b = m.breakdown(&events(), 0.001, 1, true);
+        let b = m.breakdown(&events(), 0.001, true);
         let n = b.normalized_to(b.total());
         assert!((n.total() - 1.0).abs() < 1e-12);
     }

@@ -10,7 +10,7 @@ pub mod vm;
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use interval::IntervalCore;
 pub use stats::{
-    Counters, EvictionBreakdown, FaultBreakdown, LlcRequestBreakdown, MemoBreakdown, MergedRun,
-    RunMetrics, Traffic,
+    Counters, EvictionBreakdown, FaultBreakdown, LlcRequestBreakdown, MemoBreakdown, RunMetrics,
+    Traffic,
 };
 pub use vm::{AddressSpace, PhysMem, Region, RegionOpts};

@@ -20,14 +20,6 @@ impl LlcRequestBreakdown {
         self.miss + self.uncompressed_hit + self.dbuf_hit + self.compressed_hit
     }
 
-    /// Accumulate another shard's breakdown (event counts are additive).
-    pub fn merge(&mut self, other: &LlcRequestBreakdown) {
-        self.miss += other.miss;
-        self.uncompressed_hit += other.uncompressed_hit;
-        self.dbuf_hit += other.dbuf_hit;
-        self.compressed_hit += other.compressed_hit;
-    }
-
     /// Shares in Figure 14 order: [miss, uncompressed, dbuf, compressed].
     pub fn shares(&self) -> [f64; 4] {
         let t = self.total().max(1) as f64;
@@ -56,14 +48,6 @@ pub struct EvictionBreakdown {
 impl EvictionBreakdown {
     pub fn total(&self) -> u64 {
         self.recompress + self.lazy_writeback + self.fetch_recompress + self.uncompressed_writeback
-    }
-
-    /// Accumulate another shard's breakdown (event counts are additive).
-    pub fn merge(&mut self, other: &EvictionBreakdown) {
-        self.recompress += other.recompress;
-        self.lazy_writeback += other.lazy_writeback;
-        self.fetch_recompress += other.fetch_recompress;
-        self.uncompressed_writeback += other.uncompressed_writeback;
     }
 
     /// Shares in Figure 15 order.
@@ -101,15 +85,6 @@ impl Traffic {
     pub fn total(&self) -> u64 {
         self.approx() + self.nonapprox()
     }
-
-    /// Accumulate another shard's traffic (byte counts are additive).
-    pub fn merge(&mut self, other: &Traffic) {
-        self.approx_read_bytes += other.approx_read_bytes;
-        self.approx_write_bytes += other.approx_write_bytes;
-        self.nonapprox_read_bytes += other.nonapprox_read_bytes;
-        self.nonapprox_write_bytes += other.nonapprox_write_bytes;
-        self.metadata_bytes += other.metadata_bytes;
-    }
 }
 
 /// Device error-model events (PR 6): what the fault-injecting backends did
@@ -130,23 +105,6 @@ pub struct FaultBreakdown {
     pub sanitized_values: u64,
     /// ECC scrub events protecting critical (non-approximable) lines.
     pub ecc_scrubs: u64,
-}
-
-impl FaultBreakdown {
-    /// Whether the device injected any fault at all.
-    pub fn any_injected(&self) -> bool {
-        self.injected_bit_flips > 0
-    }
-
-    /// Accumulate another shard's fault events (all additive).
-    pub fn merge(&mut self, other: &FaultBreakdown) {
-        self.injected_bit_flips += other.injected_bit_flips;
-        self.faulted_lines += other.faulted_lines;
-        self.retries += other.retries;
-        self.degraded_lines += other.degraded_lines;
-        self.sanitized_values += other.sanitized_values;
-        self.ecc_scrubs += other.ecc_scrubs;
-    }
 }
 
 /// Memoization-design events (PR 10): what the `MemoIn` reconstruction
@@ -179,17 +137,6 @@ impl MemoBreakdown {
     /// Whether either memo mechanism redeemed any traffic at all.
     pub fn any_hits(&self) -> bool {
         self.in_hits + self.in_served + self.out_elided > 0
-    }
-
-    /// Accumulate another shard's memo events (all additive).
-    pub fn merge(&mut self, other: &MemoBreakdown) {
-        self.in_probes += other.in_probes;
-        self.in_hits += other.in_hits;
-        self.in_inserts += other.in_inserts;
-        self.in_served += other.in_served;
-        self.out_windows += other.out_windows;
-        self.out_elided += other.out_elided;
-        self.out_commits += other.out_commits;
     }
 }
 
@@ -230,37 +177,6 @@ pub struct Counters {
 }
 
 impl Counters {
-    /// Accumulate another run's counters into this one: every event count
-    /// is additive except `miss_lat_max`, which takes the maximum. Derived
-    /// ratios (AMAT, MPKI, …) computed on the merged counters are then the
-    /// event-weighted aggregates over all merged runs.
-    pub fn merge(&mut self, other: &Counters) {
-        self.instructions += other.instructions;
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.l1_hits += other.l1_hits;
-        self.l2_hits += other.l2_hits;
-        self.llc_requests_total += other.llc_requests_total;
-        self.llc_misses_total += other.llc_misses_total;
-        self.approx_requests.merge(&other.approx_requests);
-        self.evictions.merge(&other.evictions);
-        self.traffic.merge(&other.traffic);
-        self.amat_cycles_sum += other.amat_cycles_sum;
-        self.amat_count += other.amat_count;
-        self.miss_lat_sum += other.miss_lat_sum;
-        self.miss_lat_count += other.miss_lat_count;
-        self.miss_lat_max = self.miss_lat_max.max(other.miss_lat_max);
-        self.compressed_hit_cycles_sum += other.compressed_hit_cycles_sum;
-        self.blocks_compressed += other.blocks_compressed;
-        self.blocks_decompressed += other.blocks_decompressed;
-        self.compression_failures += other.compression_failures;
-        self.compression_skips += other.compression_skips;
-        self.block_reuse_sum += other.block_reuse_sum;
-        self.block_reuse_count += other.block_reuse_count;
-        self.faults.merge(&other.faults);
-        self.memo.merge(&other.memo);
-    }
-
     /// Average memory access time (cycles) over all core memory requests.
     pub fn amat(&self) -> f64 {
         if self.amat_count == 0 {
@@ -359,47 +275,6 @@ impl RunMetrics {
     }
 }
 
-/// Aggregate over many (workload × configuration) runs — what a
-/// `SimPool`-style parallel engine (in `avr-core`) reports after merging
-/// its shards.
-///
-/// Conventions follow the paper's multicore accounting: event counters,
-/// traffic and energy *sum* across runs, while cycles report the *makespan*
-/// (slowest run).
-#[derive(Clone, Debug, Default)]
-pub struct MergedRun {
-    /// Number of runs absorbed.
-    pub runs: u64,
-    /// Summed event counters over all runs.
-    pub counters: Counters,
-    /// Summed energy over all runs.
-    pub energy: EnergyBreakdown,
-    /// Slowest absorbed run, in cycles.
-    pub makespan_cycles: u64,
-    /// Summed simulated cycles (for throughput-weighted aggregates).
-    pub total_cycles: u64,
-}
-
-impl MergedRun {
-    /// Fold one run's metrics into the aggregate.
-    pub fn absorb(&mut self, m: &RunMetrics) {
-        self.runs += 1;
-        self.counters.merge(&m.counters);
-        self.energy.merge(&m.energy);
-        self.makespan_cycles = self.makespan_cycles.max(m.cycles);
-        self.total_cycles += m.cycles;
-    }
-
-    /// Merge a whole slice of runs.
-    pub fn of(runs: &[RunMetrics]) -> MergedRun {
-        let mut acc = MergedRun::default();
-        for m in runs {
-            acc.absorb(m);
-        }
-        acc
-    }
-}
-
 /// Geometric mean helper for the figures' "Geom. Mean" column.
 pub fn geomean(values: &[f64]) -> f64 {
     assert!(!values.is_empty());
@@ -476,74 +351,6 @@ mod tests {
     fn geomean_of_equal_values_is_value() {
         assert!((geomean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn counters_merge_sums_events_and_maxes_latency() {
-        let mut a = Counters {
-            instructions: 100,
-            loads: 10,
-            miss_lat_max: 80,
-            amat_cycles_sum: 500,
-            amat_count: 100,
-            ..Default::default()
-        };
-        a.traffic.approx_read_bytes = 64;
-        let mut b = Counters {
-            instructions: 50,
-            loads: 5,
-            miss_lat_max: 200,
-            amat_cycles_sum: 250,
-            amat_count: 50,
-            ..Default::default()
-        };
-        b.traffic.approx_read_bytes = 128;
-        a.merge(&b);
-        assert_eq!(a.instructions, 150);
-        assert_eq!(a.loads, 15);
-        assert_eq!(a.miss_lat_max, 200, "max, not sum");
-        assert_eq!(a.traffic.approx_read_bytes, 192);
-        // Merged AMAT is the event-weighted mean: 750 cycles / 150 reqs.
-        assert!((a.amat() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fault_breakdown_merges_additively() {
-        let mut a =
-            FaultBreakdown { injected_bit_flips: 3, faulted_lines: 2, ..Default::default() };
-        let b = FaultBreakdown {
-            injected_bit_flips: 5,
-            faulted_lines: 4,
-            retries: 1,
-            degraded_lines: 2,
-            sanitized_values: 7,
-            ecc_scrubs: 100,
-        };
-        a.merge(&b);
-        assert_eq!(a.injected_bit_flips, 8);
-        assert_eq!(a.faulted_lines, 6);
-        assert_eq!(a.retries, 1);
-        assert_eq!(a.degraded_lines, 2);
-        assert_eq!(a.sanitized_values, 7);
-        assert_eq!(a.ecc_scrubs, 100);
-        assert!(a.any_injected());
-        assert!(!FaultBreakdown::default().any_injected());
-    }
-
-    #[test]
-    fn merged_run_sums_and_takes_makespan() {
-        let mut m1 = RunMetrics { cycles: 100, ..Default::default() };
-        m1.counters.instructions = 1_000;
-        m1.energy.dram = 2.0;
-        let mut m2 = RunMetrics { cycles: 300, ..Default::default() };
-        m2.counters.instructions = 500;
-        m2.energy.dram = 1.0;
-        let agg = MergedRun::of(&[m1, m2]);
-        assert_eq!(agg.runs, 2);
-        assert_eq!(agg.counters.instructions, 1_500);
-        assert_eq!(agg.makespan_cycles, 300);
-        assert_eq!(agg.total_cycles, 400);
-        assert!((agg.energy.total() - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -417,8 +417,6 @@ impl BenchScale {
 /// Full system configuration (Table 1).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SystemConfig {
-    /// Number of simulated cores.
-    pub cores: usize,
     /// Core clock in Hz (3.2 GHz).
     pub clock_hz: f64,
     /// Issue/commit width.
@@ -441,7 +439,6 @@ pub struct SystemConfig {
 impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
-            cores: 8,
             clock_hz: 3.2e9,
             issue_width: 4,
             rob_size: 224,
@@ -458,19 +455,21 @@ impl Default for SystemConfig {
 }
 
 impl SystemConfig {
-    /// Table 1 verbatim.
+    /// Table 1: the 8 MB LLC and the two DDR4 channels that the paper's 8
+    /// cores share. [`SystemConfig::per_core_scaled`] is one core's share.
     pub fn paper() -> Self {
         Self::default()
     }
 
-    /// One core with its per-core share of the shared LLC (8 MB / 8 cores),
+    /// One core with its share of the shared LLC (8 MB / 8 cores),
     /// preserving the footprint:capacity ratios that drive the paper's
-    /// results while keeping simulations laptop-fast. Used by the figure
-    /// benches; `avr_core::multicore` describes the partitioned-share model.
+    /// results while keeping simulations laptop-fast. The figure benches
+    /// simulate the 8-core CMP as this one core: a partitioned-share model
+    /// with no interference between cores beyond the static shares
+    /// (`examples/multicore_cmp.rs` runs all eight).
     #[allow(clippy::field_reassign_with_default)] // builder-style tweaks read clearer
     pub fn per_core_scaled() -> Self {
         let mut c = Self::default();
-        c.cores = 1;
         c.llc = CacheGeometry { capacity: 1 << 20, ways: 16, latency: 15 };
         // One core also only gets its share of the memory system: one
         // channel at half the per-channel burst rate approximates 1/4 of
@@ -492,7 +491,6 @@ impl SystemConfig {
     #[allow(clippy::field_reassign_with_default)]
     pub fn tiny() -> Self {
         let mut c = Self::default();
-        c.cores = 1;
         c.l1 = CacheGeometry { capacity: 4 << 10, ways: 4, latency: 1 };
         c.l2 = CacheGeometry { capacity: 16 << 10, ways: 8, latency: 8 };
         c.llc = CacheGeometry { capacity: 64 << 10, ways: 16, latency: 15 };
@@ -528,7 +526,6 @@ mod tests {
     #[test]
     fn table1_geometry() {
         let c = SystemConfig::paper();
-        assert_eq!(c.cores, 8);
         assert_eq!(c.l1.sets(), 256);
         assert_eq!(c.l2.sets(), 512);
         assert_eq!(c.llc.sets(), 8192);
@@ -539,9 +536,9 @@ mod tests {
     fn scaled_keeps_ratio() {
         let paper = SystemConfig::paper();
         let scaled = SystemConfig::per_core_scaled();
-        let per_core_share = paper.llc.capacity / paper.cores;
+        // Table 1's 8 MB LLC is shared by 8 cores.
+        let per_core_share = paper.llc.capacity / 8;
         assert_eq!(scaled.llc.capacity, per_core_share);
-        assert_eq!(scaled.cores, 1);
     }
 
     #[test]

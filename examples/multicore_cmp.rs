@@ -1,12 +1,14 @@
-//! Run an SPMD heat shard on every core of the paper's 8-core CMP
-//! (partitioned-share model) and compare designs at the chip level.
+//! Run a heat shard on every core of the paper's 8-core CMP and compare
+//! designs at the chip level. The chip is eight one-core `System`s on a
+//! `SimPool`, each on its per-core share of Table 1's hierarchy (the
+//! partitioned-share model every figure uses): makespan is the slowest
+//! core's cycles, traffic and energy sum over the cores.
 //!
 //! ```text
 //! cargo run --release --example multicore_cmp
 //! ```
 
-use avr::arch::multicore::{run_multicore, ShardedWorkload};
-use avr::arch::{DesignKind, SystemConfig, Vm};
+use avr::arch::{DesignKind, SimPool, System, SystemConfig, Vm};
 use avr::types::{DataType, PhysAddr};
 
 /// Each core diffuses its own strip of a wide plate.
@@ -16,12 +18,9 @@ struct HeatShard {
     iters: usize,
 }
 
-impl ShardedWorkload for HeatShard {
-    fn name(&self) -> &'static str {
-        "heat_spmd"
-    }
-
-    fn run_shard(&self, core: usize, _total: usize, vm: &mut dyn Vm) -> Vec<f64> {
+impl HeatShard {
+    /// Core `core`'s shard; returns the temperature at its strip's centre.
+    fn run(&self, core: usize, vm: &mut dyn Vm) -> f32 {
         let (w, h) = (self.width, self.rows_per_core);
         let n = w * h;
         let a = vm.approx_malloc(4 * n, DataType::F32).base;
@@ -62,7 +61,7 @@ impl ShardedWorkload for HeatShard {
             }
             std::mem::swap(&mut src, &mut dst);
         }
-        vec![vm.read_f32(at(src, (h / 2) * w + w / 2)) as f64]
+        vm.read_f32(at(src, (h / 2) * w + w / 2))
     }
 }
 
@@ -77,17 +76,24 @@ fn main() {
     println!("{:<10}{:>16}{:>14}{:>12}", "design", "makespan (cyc)", "traffic (MB)", "energy (mJ)");
     let mut baseline_cycles = 0u64;
     for design in [DesignKind::Baseline, DesignKind::Truncate, DesignKind::Avr] {
-        let run = run_multicore(&shard, &cfg, design, cores);
+        let per_core = SimPool::new(cores).run_jobs(cores, |ctx| {
+            let mut sys = System::new(cfg.clone(), design);
+            shard.run(ctx.index, &mut sys);
+            sys.finish("heat_spmd")
+        });
+        let cycles = per_core.iter().map(|m| m.cycles).max().unwrap_or(0);
+        let traffic: u64 = per_core.iter().map(|m| m.counters.traffic.total()).sum();
+        let energy: f64 = per_core.iter().map(|m| m.energy.total()).sum();
         if design == DesignKind::Baseline {
-            baseline_cycles = run.cycles();
+            baseline_cycles = cycles;
         }
         println!(
             "{:<10}{:>16}{:>14.1}{:>12.2}   ({:.2}x vs baseline)",
             design.label(),
-            run.cycles(),
-            run.total_traffic() as f64 / 1e6,
-            run.total_energy() * 1e3,
-            run.cycles() as f64 / baseline_cycles as f64,
+            cycles,
+            traffic as f64 / 1e6,
+            energy * 1e3,
+            cycles as f64 / baseline_cycles as f64,
         );
     }
 }

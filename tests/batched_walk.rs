@@ -7,9 +7,10 @@
 //! and must never change the simulation. This file pins default (batched)
 //! runs bit-identical to `AVR_NO_BATCHED_WALK=1` (per-word) runs — every
 //! counter, the traffic split, the energy breakdown and the application's
-//! output bits — for all nine workloads. The CI matrix leg that runs the
-//! whole suite under `AVR_NO_BATCHED_WALK=1` keeps the per-word reference
-//! walk alive forever; this file keeps the two walks equal.
+//! output bits — for all ten workloads on every design. The CI matrix leg
+//! that runs the whole suite under `AVR_NO_BATCHED_WALK=1` keeps the
+//! per-word reference walk alive forever; this file keeps the two walks
+//! equal.
 
 use avr::arch::{DesignKind, System, SystemConfig};
 use avr::workloads::{all_benchmarks, BenchScale};
@@ -53,6 +54,7 @@ fn assert_walks_identical(design: DesignKind) {
             batched.counters.evictions, word.counters.evictions,
             "{ctx}: eviction breakdown"
         );
+        assert_eq!(batched.counters.memo, word.counters.memo, "{ctx}: memo events");
         assert_eq!(
             batched.counters.amat_cycles_sum, word.counters.amat_cycles_sum,
             "{ctx}: AMAT sum"
@@ -112,6 +114,16 @@ fn batched_walk_is_cycle_exact_on_truncate() {
 #[test]
 fn batched_walk_is_cycle_exact_on_doppelganger() {
     assert_walks_identical(DesignKind::Doppelganger);
+}
+
+#[test]
+fn batched_walk_is_cycle_exact_on_memoin() {
+    assert_walks_identical(DesignKind::MemoIn);
+}
+
+#[test]
+fn batched_walk_is_cycle_exact_on_memoout() {
+    assert_walks_identical(DesignKind::MemoOut);
 }
 
 /// The escape hatch is honored at construction: a default-constructed

@@ -1,5 +1,5 @@
 //! The parallel engine's scheduling contracts: weighted (heaviest-first)
-//! claiming is result-invariant, chunked claiming covers every job exactly
+//! claiming is result-invariant, one-job claiming covers every job exactly
 //! once at the integration level, and — on a host that actually has ≥ 2
 //! hardware threads — pooling a real grid is not slower than running it
 //! serially. The bit-identity of pooled vs. serial *simulation results*
@@ -41,12 +41,12 @@ fn weighted_grid_matches_serial_grid_bit_for_bit_at_any_width() {
 
 #[test]
 fn weighted_claiming_is_an_exact_permutation_on_large_batches() {
-    // Integration-level chunked/weighted claiming check: every index runs
-    // exactly once and lands in its own slot, across widths and weight
-    // shapes (uniform → chunked path; skewed → LPT path).
+    // Integration-level claiming check: every index runs exactly once and
+    // lands in its own slot, across widths and weight shapes (index order
+    // and the skewed LPT schedule).
     for threads in [1, 4, 13] {
         let pool = SimPool::new(threads);
-        let n = 4097; // off power-of-two: exercises the final short chunk
+        let n = 4097; // off power-of-two
         let uniform = pool.run_jobs(n, |ctx| ctx.index as u64 * 3 + 1);
         let skewed = pool.run_jobs_weighted(
             n,
